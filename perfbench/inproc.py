@@ -10,12 +10,10 @@ from typing import Any
 from ctxbroker import errors
 from ctxbroker.broker import ContextBroker, DeliveryStatus
 
-from . import harness
-from .gen import Workload, schedule
+from . import harness, metrics
+from .gen import ServicePool, Workload, schedule
 from .harness import Op, RunLog, now
 from .reference import Mutation, Publication, RefBroker, RouteSizes
-
-SETUPS = 5  # set-ups per run; setup_s is their median
 
 
 class Recorder:
@@ -42,7 +40,6 @@ class Driver:
         self.broker = ContextBroker(workload.catalog, transport=Recorder(self.log))
         self.reg_ids: dict[str, str] = {}
         self.sub_ids: list[str] = []
-        self.profiles: dict[str, Any] = {}
 
     def _tag(self, request_id: str) -> None:
         if self.tracer is not None:
@@ -63,18 +60,11 @@ class Driver:
         for i, profile in enumerate(self.w.profiles):
             sub_id = self.broker.subscribe(f"consumer-{i}", profile, f"local:consumer-{i}")
             self.sub_ids.append(sub_id)
-            self.profiles[sub_id] = profile
         return now() - start
 
     def reference(self) -> tuple[RefBroker, list]:
         """Reference state right after set-up, and the advisories it sent."""
-        ref = RefBroker(self.w.offers)
-        for offer in self.w.initial_offers:
-            ref.register(offer.service_id)
-        advisories = []
-        for sub_id in self.sub_ids:
-            advisories += ref.subscribe(sub_id, self.profiles[sub_id])
-        return ref, advisories
+        return self.w.reference(self.sub_ids)
 
     # -- operations ---------------------------------------------------------
 
@@ -110,13 +100,10 @@ class Driver:
         return result
 
     def subscribe(self, consumer: str, profile, due: float | None = None) -> str | None:
-        sub_id = self._mutate(
+        return self._mutate(
             "subscribe", "subscribe",
             lambda: self.broker.subscribe(consumer, profile, f"local:{consumer}"),
             lambda sid: (sid, profile), due)
-        if sub_id is not None:
-            self.profiles[sub_id] = profile
-        return sub_id
 
     def unsubscribe(self, sub_id: str, due: float | None = None, kind: str = "unsubscribe") -> None:
         self._mutate(kind, "unsubscribe", lambda: self.broker.unsubscribe(sub_id),
@@ -156,47 +143,25 @@ class Driver:
         decision = self.broker.get_decision(sub_id)
         self.log.decisions.append((sub_id, tuple(decision.selected), start, now()))
 
-    def bursts(self, until: float, pubs, route_sizes: RouteSizes) -> None:
-        """Closed-loop bursts until ``until``: each publishes back to back
-        for the spec's burst length, then waits for all its deliveries."""
-        expected_per_pub = route_sizes()
-        while now() < until:
-            first, start = self.log.next_pub, now()
-            expected = len(self.log.receipts)
-            while now() < min(until, start + self.w.spec.burst_seconds):
-                for _ in range(10):
-                    sid, topic = next(pubs)
-                    self.publish(sid, topic)
-                    expected += expected_per_pub.get((topic, sid), 0)
-            self.log.bursts.append((first, self.log.next_pub, start))
-            harness.wait_receipts(self.log, expected, now() + 10.0)
+    def bursts(self, pubs, route_sizes: RouteSizes) -> None:
+        spec = self.w.spec
+        harness.bursts(self.log, spec.burst_pubs, spec.bursts_per_round, pubs, route_sizes,
+                       self.publish)
 
     def close(self) -> None:
         self.broker.close()
 
 
-def pull_targets(w: Workload, driver: Driver, ref: RefBroker) -> list[tuple[str, str]]:
-    """(subscription, topic) pairs a pull-last never fails on: a stable
-    subscription and a topic with an admissible always-registered service."""
-    stable = {o.service_id for o in w.stable}
-    targets = []
-    for sub_id in driver.sub_ids[: w.spec.stable_subscriptions]:
-        for topic in driver.profiles[sub_id].topics:
-            if any(ref.admissible(sub_id, topic, sid) for sid in stable):
-                targets.append((sub_id, topic))
-    return targets
-
-
-def set_up(w: Workload, tracer) -> tuple[Driver, list[float]]:
-    """SETUPS fresh brokers; keeps the last, returns all set-up times."""
-    times = []
-    driver = None
-    for _ in range(SETUPS):
-        if driver is not None:
-            driver.close()
-        driver = Driver(w, tracer)
-        times.append(driver.setup())
+def set_up(w: Workload, tracer) -> tuple[Driver, list[tuple[float, float]]]:
+    speed = harness.Speedometer()
+    driver, times = harness.set_ups(lambda: _fresh(w, tracer), Driver.close, speed)
+    driver.log.speed = speed
     return driver, times
+
+
+def _fresh(w: Workload, tracer) -> tuple[Driver, float]:
+    driver = Driver(w, tracer)
+    return driver, driver.setup()
 
 
 def run_fanout(w: Workload, seconds: float, tracer=None) -> dict:
@@ -204,7 +169,7 @@ def run_fanout(w: Workload, seconds: float, tracer=None) -> dict:
     driver, setups = set_up(w, tracer)
     ref, advisories = driver.reference()
     route_sizes = RouteSizes(driver.reference()[0], driver.log.mutations)
-    targets = pull_targets(w, driver, ref)
+    targets = w.pull_targets(driver.sub_ids, ref)
     rng = w.rng("control")
     kinds = schedule(spec.control_mix)
     profiles = w.fresh_profiles("control")
@@ -231,8 +196,8 @@ def run_fanout(w: Workload, seconds: float, tracer=None) -> dict:
             driver.unsubscribe(probes.pop(), kind="cleanup-unsubscribe")
 
     t0 = now()
-    harness.rounds(seconds, spec.burst_share, driver.log,
-                   lambda until: driver.bursts(until, burst_pubs, route_sizes), open_phase)
+    harness.rounds(seconds, spec.round_seconds, spec.open_seconds, driver.log,
+                   lambda: driver.bursts(burst_pubs, route_sizes), open_phase)
     for sub_id in rng.sample(driver.sub_ids, 50):
         driver.sample_decision(sub_id)
     return _finish(driver, ref, advisories, setups, t0)
@@ -243,39 +208,33 @@ def run_churn(w: Workload, seconds: float, tracer=None) -> dict:
     driver, setups = set_up(w, tracer)
     ref, advisories = driver.reference()
     route_sizes = RouteSizes(driver.reference()[0], driver.log.mutations)
-    targets = pull_targets(w, driver, ref)
+    targets = w.pull_targets(driver.sub_ids, ref)
     stable_subs = driver.sub_ids[: spec.stable_subscriptions]
     churnable = driver.sub_ids[spec.stable_subscriptions:]
-    live_churning = [o.service_id for o in w.churning[: spec.live_churning]]
-    idle_churning = [o.service_id for o in w.churning[spec.live_churning:]]
-    offers = {o.service_id: o for o in w.offers}
     stop = threading.Event()
     mrng = w.rng("mutator")
+    services = ServicePool(w, mrng)
     kinds = schedule(spec.mutation_mix, 10)
     profiles = w.fresh_profiles("mutator")
 
     gate = threading.Lock()  # held by each mutation, and by each burst phase as a whole
 
     def mutator() -> None:
-        # register and deregister alternate, as do unsubscribe and subscribe
-        first = {"register-deregister": itertools.cycle((True, False)),
-                 "subscribe-unsubscribe": itertools.cycle((True, False))}
+        unsubscribe_next = itertools.cycle((True, False))
         while not stop.is_set():
             kind = next(kinds)
             with gate:
-                mutate(kind, next(first[kind]))
+                mutate(kind, next(unsubscribe_next) if kind == "subscribe-unsubscribe" else False)
             stop.wait(spec.think_seconds)
 
-    def mutate(kind: str, first_half: bool) -> None:
-        if kind == "register-deregister" and first_half:
-            sid = idle_churning.pop(mrng.randrange(len(idle_churning)))
-            driver.register(offers[sid])
-            live_churning.append(sid)
-        elif kind == "register-deregister":
-            sid = live_churning.pop(mrng.randrange(len(live_churning)))
-            driver.deregister(sid)
-            idle_churning.append(sid)
-        elif first_half:
+    def mutate(kind: str, unsubscribe: bool) -> None:
+        if kind == "register-deregister":
+            op, offer = services.next()
+            if op == "register":
+                driver.register(offer)
+            else:
+                driver.deregister(offer.service_id)
+        elif unsubscribe:
             driver.unsubscribe(churnable.pop(mrng.randrange(len(churnable))))
         else:
             sub_id = driver.subscribe(f"churn-{len(driver.log.ops)}", next(profiles))
@@ -294,16 +253,17 @@ def run_churn(w: Workload, seconds: float, tracer=None) -> dict:
         else:
             driver.publish(*next(open_pubs), due=due)
 
-    def paused(fn, *args) -> None:
+    def paused_bursts() -> None:
         with gate:  # the mutator waits while the publisher bursts
-            fn(*args)
+            driver.bursts(burst_pubs, route_sizes)
 
     def load() -> None:
         try:
             harness.rounds(
-                seconds, spec.burst_share, driver.log, lambda until: paused(driver.bursts, until, burst_pubs, route_sizes),
+                seconds, spec.round_seconds, spec.open_seconds, driver.log, paused_bursts,
                 lambda until: harness.open_loop(spec.open_rate + spec.control_rate, until,
-                                                step, driver.log, times))
+                                                step, driver.log, times),
+                idle=gate)
         finally:
             stop.set()
 
@@ -318,6 +278,7 @@ def _finish(driver: Driver, ref: RefBroker, advisories, setups, measure_from: fl
     harness.wait_receipts(driver.log, None, now() + 10.0, quiet=0.3)
     driver.close()
     return {
+        "rss_mb": metrics.peak_rss_mb(children=False),
         "log": driver.log,
         "ref": ref,
         "ref_factory": lambda: driver.reference()[0],

@@ -139,4 +139,5 @@ def per_layer(result: dict, spans: list[tuple]) -> dict[str, tuple[float, str]]:
     late_ms = [v * 1e3 for v in log.late]
     out["gen.late_p99_ms"] = (percentile(late_ms, 99), "ms")
     out["gen.late_max_ms"] = (max(late_ms) if late_ms else 0.0, "ms")
+    out["gen.slowness"] = (log.speed.median(), "ratio")
     return out

@@ -52,7 +52,8 @@ def run_workload(name: str, seed: int, seconds: float, tracer=None) -> dict:
             workload, seconds, tracer)
     attempted, failed, errors = metrics.check(result)
     result.update(attempted=attempted, failed=failed, errors=errors)
-    result["e2e"] = metrics.end_to_end(result, result.get("rss_mb") or metrics.peak_rss_mb(False))
+    result["e2e"] = metrics.end_to_end(result)
+    result["raw"] = metrics.end_to_end(result, normalise=False)
     return result
 
 
@@ -95,12 +96,14 @@ def main(argv: list[str] | None = None) -> int:
         out = {k: {"value": v, "unit": u} for k, (v, u) in values.items()}
     else:
         runs = [run_workload(args.workload, args.seed, args.seconds)]
-        out = {k: {"value": v, "unit": metrics.END_TO_END[k]} for k, v in runs[0]["e2e"].items()}
+        out = {k: {"value": runs[0]["e2e"][k], "unit": u} for k, u in metrics.END_TO_END.items()}
 
     errors = [e for r in runs for e in r["errors"]]
     for r in runs:
         print("samples " + json.dumps(metrics.sample_counts(r), sort_keys=True))
         print("end_to_end " + json.dumps({k: round(v, 4) for k, v in r["e2e"].items()}))
+        print("raw " + json.dumps({k: round(v, 4) for k, v in r["raw"].items()}))
+        print(f"slowness median {r['log'].speed.median():.4f} over {len(r['log'].speed.marks)} calibrations")
         share = r["failed"] / r["attempted"] if r["attempted"] else 0.0
         print(f"failed_share {share:.6f} ratio ({r['failed']} of {r['attempted']})")
         for message in r["log"].errors[:5]:
@@ -109,6 +112,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"REFERENCE MISMATCH: {message}")
     for key, metric in out.items():
         print(f"metric {key} = {metric['value']:.6g} {metric['unit']}")
+    if not args.trace:
+        for key, unit in metrics.PRINTED_ONLY.items():
+            print(f"metric {key} = {runs[0]['e2e'][key]:.6g} {unit} (printed only, not gated)")
     print(json.dumps({
         "correct": not errors,
         "attempted": sum(r["attempted"] for r in runs),

@@ -17,7 +17,8 @@ import pytest  # noqa: E402
 from ctxbroker.model import RequirementProfile, ServiceOffer  # noqa: E402
 from ctxbroker.selection import oracle_select  # noqa: E402
 
-from perfbench.gen import SPECS, Workload  # noqa: E402
+from perfbench.gen import FANOUT_CAP, FANOUT_RATIO, SPECS, ServicePool, Workload, _moments  # noqa: E402
+from perfbench.harness import Speedometer  # noqa: E402
 from perfbench.reference import (  # noqa: E402
     Mutation,
     Publication,
@@ -49,16 +50,35 @@ def test_generator_is_deterministic_per_seed(name):
     assert first[:2] != _inputs(Workload(SPECS[name], 8))[:2]
 
 
-def test_publishers_reach_the_target_fanout_on_average():
-    w = Workload(SPECS["wire"], 3)
-    ref = RefBroker(w.offers)
-    for offer in w.initial_offers:
-        ref.register(offer.service_id)
-    for i, profile in enumerate(w.profiles):
-        ref.subscribe(f"s{i}", profile)
+@pytest.mark.parametrize("seed", [1, 3])
+def test_publishers_meet_the_fanout_targets(seed):
+    w = Workload(SPECS["fanout"], seed)
+    ref, _ = w.reference()
     sizes = {key: len(subs) for key, subs in ref.routes().items()}
-    mean = sum(wt * sizes.get((t, s), 0) for (s, t), wt in zip(w.publish_pairs, w.publish_weights))
-    assert mean / sum(w.publish_weights) == pytest.approx(SPECS["wire"].mean_fanout, rel=1e-3)
+    reach = [sizes[(t, s)] for s, t in w.publish_pairs]
+    mean, ratio = _moments(reach, w.publish_weights)
+    assert mean == pytest.approx(SPECS["fanout"].mean_fanout, rel=1e-3)
+    assert ratio == pytest.approx(FANOUT_RATIO * SPECS["fanout"].mean_fanout, rel=1e-3)
+    assert max(reach) <= FANOUT_CAP * SPECS["fanout"].mean_fanout
+
+
+def test_service_pool_alternates_register_and_deregister():
+    w = Workload(SPECS["churn"], 4)
+    pool = ServicePool(w, random.Random(1))
+    live = set(pool.live)
+    for i in range(40):
+        op, offer = pool.next()
+        assert op == ("register" if i % 2 == 0 else "deregister")
+        assert (offer.service_id in live) == (op == "deregister")
+        live ^= {offer.service_id}
+    assert live == set(pool.live)
+
+
+def test_speedometer_interpolates_between_calibrations():
+    speed = Speedometer()
+    assert speed.at(5.0) == 1.0
+    speed.marks = [(0.0, 1.0), (10.0, 2.0)]
+    assert [speed.at(t) for t in (-1.0, 0.0, 5.0, 10.0, 20.0)] == [1.0, 1.0, 1.5, 2.0, 2.0]
 
 
 def _random_instance(rng: random.Random):

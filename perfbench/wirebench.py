@@ -5,7 +5,6 @@ endpoints and drives the broker over two client connections."""
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import select
@@ -15,19 +14,18 @@ import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from ctxbroker.broker import ContextBroker
 from ctxbroker.service import save_snapshot
 from ctxbroker.wire import WireClient, WireError, make_envelope
 
 from . import harness, metrics, trace
-from .gen import Workload, schedule
+from .gen import ServicePool, Workload, schedule
 from .harness import Op, RunLog, now
 from .reference import Mutation, Publication, RefBroker, RouteSizes
 
 ROOT = Path(__file__).resolve().parent.parent
-SETUPS = 5  # broker restarts per run; setup_s is their median
 START_TIMEOUT = 60.0
 
 
@@ -195,8 +193,7 @@ class WireDriver:
         self.log = log
         self.endpoints = endpoints
         self.sub_ids: list[str] = []
-        self.profiles: dict[str, Any] = {}
-        self.reg_ids: dict[str, str] = {}
+        self.reg_ids: dict[str, str] = {}  # of the churning services registered over the wire
 
     def save_snapshot(self) -> tuple[Path, Path]:
         """Build the initial registry in-process and save it as the
@@ -204,13 +201,11 @@ class WireDriver:
         broker = ContextBroker(self.w.catalog)
         try:
             for offer in self.w.initial_offers:
-                self.reg_ids[offer.service_id] = broker.register_context_service(
-                    offer, self.endpoints.service(offer.service_id))
+                broker.register_context_service(offer, self.endpoints.service(offer.service_id))
             for i, profile in enumerate(self.w.profiles):
                 sub_id = broker.subscribe(f"consumer-{i}", profile,
                                           self.endpoints.consumer(f"consumer-{i}"))
                 self.sub_ids.append(sub_id)
-                self.profiles[sub_id] = profile
             snapshot = self.workdir / "wire-snapshot.json"
             save_snapshot(snapshot, broker.snapshot_state())
         finally:
@@ -220,12 +215,7 @@ class WireDriver:
         return snapshot, catalog
 
     def reference(self) -> RefBroker:
-        ref = RefBroker(self.w.offers)
-        for offer in self.w.initial_offers:
-            ref.register(offer.service_id)
-        for sub_id in self.sub_ids:
-            ref.subscribe(sub_id, self.profiles[sub_id])
-        return ref
+        return self.w.reference(self.sub_ids)[0]
 
     def publish(self, client: Client, service_id: str, topic: str, due: float | None = None) -> None:
         pub_id, sample = self.log.new_sample(service_id, topic)
@@ -249,13 +239,15 @@ def run_wire(w: Workload, seconds: float, workdir: Path, tracer=None) -> dict:
         driver = WireDriver(w, workdir, log, endpoints)
         snapshot, catalog = driver.save_snapshot()
         spans_path = workdir / "wire-spans.json"
-        setups = []
-        for i in range(SETUPS):
-            if broker is not None:
-                broker.stop()
-            broker = Broker(workdir, snapshot, catalog,
-                            spans_path if tracer is not None and i == SETUPS - 1 else None)
-            setups.append(broker.setup_s)
+        starts = iter(range(harness.SETUPS))
+
+        def start() -> tuple[Broker, float]:
+            nonlocal broker
+            traced = tracer is not None and next(starts) == harness.SETUPS - 1
+            broker = Broker(workdir, snapshot, catalog, spans_path if traced else None)
+            return broker, broker.setup_s
+
+        broker, setups = harness.set_ups(start, Broker.stop, log.speed)
         ref = driver.reference()
         route_sizes = RouteSizes(driver.reference(), log.mutations)
         pub_client = Client(broker.url, log, "pub")
@@ -269,29 +261,14 @@ def run_wire(w: Workload, seconds: float, workdir: Path, tracer=None) -> dict:
         burst_pubs, open_pubs = w.publishes("burst"), w.publishes("open")
         rng = w.rng("control")
         pub_times, ctl_times = w.rng("publish-times"), w.rng("control-times")
-        kinds = schedule(spec.control_mix)
-        register_next = itertools.cycle((True, False))
         profiles = w.fresh_profiles("control")
-        stable = {o.service_id for o in w.stable}
-        targets = [(s, t) for s in driver.sub_ids[: spec.stable_subscriptions]
-                   for t in driver.profiles[s].topics
-                   if any(ref.admissible(s, t, sid) for sid in stable)]
+        targets = w.pull_targets(driver.sub_ids, ref)
         control_subs: list[str] = []
-        live_churning = [o.service_id for o in w.churning[: spec.live_churning]]
-        idle_churning = [o.service_id for o in w.churning[spec.live_churning:]]
-        offers = {o.service_id: o for o in w.offers}
+        services = ServicePool(w, rng)
 
-        def bursts(until: float) -> None:
-            sizes = route_sizes()
-            while now() < until:
-                first, start = log.next_pub, now()
-                expected = len(log.receipts)
-                while now() < min(start + spec.burst_seconds, until):
-                    sid, topic = next(burst_pubs)
-                    driver.publish(pub_client, sid, topic)
-                    expected += sizes.get((topic, sid), 0)
-                log.bursts.append((first, log.next_pub, start))
-                harness.wait_receipts(log, expected, now() + 10.0)
+        def bursts() -> None:
+            harness.bursts(log, spec.burst_pubs, spec.bursts_per_round, burst_pubs, route_sizes,
+                           lambda sid, topic: driver.publish(pub_client, sid, topic))
 
         def mutate(kind: str, op: str, method: str, path: str, body: dict | None, arg, due):
             result = ctl_client.call(kind, method, path, body, due)
@@ -305,7 +282,7 @@ def run_wire(w: Workload, seconds: float, workdir: Path, tracer=None) -> dict:
             if body is not None:
                 log.decisions.append((sub_id, tuple(body["decision"]["selected"]), *ctl_client.last))
 
-        def control(i: int, due: float) -> None:
+        def control(kinds: Iterator[str], i: int, due: float) -> None:
             kind = next(kinds)
             if kind in ("pull-last", "pull-current"):
                 sub_id, topic = rng.choice(targets)
@@ -328,33 +305,33 @@ def run_wire(w: Workload, seconds: float, workdir: Path, tracer=None) -> dict:
                     if body is not None:
                         control_subs.append(body["subscription_id"])
             else:
-                if next(register_next):
-                    sid = idle_churning.pop(rng.randrange(len(idle_churning)))
+                op, offer = services.next()
+                sid = offer.service_id
+                if op == "register":
                     body = mutate("register", "register", "POST", "/registrations",
-                                  {"offer": offers[sid].to_dict(),
+                                  {"offer": offer.to_dict(),
                                    "service_address": endpoints.service(sid)},
                                   lambda _: sid, due)
                     if body is not None:
                         driver.reg_ids[sid] = body["registration_id"]
-                        live_churning.append(sid)
                 else:
-                    sid = live_churning.pop(rng.randrange(len(live_churning)))
                     mutate("deregister", "deregister", "DELETE",
                            f"/registrations/{driver.reg_ids.pop(sid)}", None, lambda _: sid, due)
-                    idle_churning.append(sid)
                 decision(rng.choice(driver.sub_ids))
 
         def open_phase(until: float) -> None:
+            kinds = schedule(spec.control_mix)  # whole cycles per phase, see gen.SPECS
             harness.run_threads(
                 lambda: harness.open_loop(
                     spec.open_rate, until,
                     lambda i, due: driver.publish(pub_client, *next(open_pubs), due=due), log,
                     pub_times),
-                lambda: harness.open_loop(spec.control_rate, until, control, log, ctl_times),
+                lambda: harness.open_loop(spec.control_rate, until,
+                                          lambda i, due: control(kinds, i, due), log, ctl_times),
             )
 
         t0 = now()
-        harness.rounds(seconds, spec.burst_share, log, bursts, open_phase)
+        harness.rounds(seconds, spec.round_seconds, spec.open_seconds, log, bursts, open_phase)
         for sub_id in rng.sample(driver.sub_ids, 20):
             decision(sub_id)
         harness.wait_receipts(log, None, now() + 10.0, quiet=0.3)
