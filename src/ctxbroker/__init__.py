@@ -8,6 +8,7 @@ from .errors import (
     BrokerError,
     Conflict,
     DimensionMismatch,
+    Internal,
     NoProvider,
     NotFound,
     NotSubscribed,

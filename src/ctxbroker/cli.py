@@ -16,7 +16,9 @@ from .broker import RetryPolicy
 from .model import IndicatorCatalog, RequirementProfile, ServiceOffer, validate_offer, validate_profile
 from .selection import DecisionMatrix, build_decision_matrix
 from .service import ServiceConfig, SnapshotError, serve
-from .sim import ScenarioError, emit_report, generate_random_scenario, load_scenario, run, save_scenario
+from .sim import (
+    ScenarioError, emit_report, generate_random_scenario, load_scenario, run, save_scenario, tabulate,
+)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -186,13 +188,7 @@ def _decision_table(decision: DecisionMatrix) -> str:
                 decision.selected[j] if decision.selected[j] is not None else "-",
             )
         )
-    widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
-    lines = []
-    for index, row in enumerate(rows):
-        lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
-        if index == 0:
-            lines.append("  ".join("-" * width for width in widths))
-    return "\n".join(lines)
+    return "\n".join(tabulate(rows))
 
 
 def _cmd_sim_run(args: argparse.Namespace) -> int:

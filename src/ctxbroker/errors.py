@@ -69,13 +69,7 @@ class UpstreamUnavailable(BrokerError):
     code = "UPSTREAM_UNAVAILABLE"
 
 
-ERROR_CODES = (
-    "BAD_REQUEST",
-    "NOT_FOUND",
-    "CONFLICT",
-    "UNREGISTERED",
-    "NOT_SUBSCRIBED",
-    "NO_PROVIDER",
-    "NO_VALUE_YET",
-    "UPSTREAM_UNAVAILABLE",
-)
+class Internal(BrokerError):
+    """An unexpected failure inside the service, such as a failed snapshot write."""
+
+    code = "INTERNAL"

@@ -19,7 +19,7 @@ import uuid
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import errors, wire
 from .broker import ContextBroker, RetryPolicy, Transport
@@ -74,8 +74,9 @@ def load_snapshot(path: str | Path) -> dict[str, Any] | None:
 class BrokerService:
     """Envelope-level request handling plus persistence, independent of HTTP.
 
-    The HTTP frontend adapts paths and verbs onto these methods; tests
-    and the crash-restart checks can drive them directly.
+    The HTTP frontend turns each request into one envelope for
+    handle_request; tests and the crash-restart checks can drive it
+    directly.
     """
 
     def __init__(
@@ -99,8 +100,8 @@ class BrokerService:
     # -- envelope routing -------------------------------------------------
 
     def handle_request(self, envelope: Any) -> dict[str, Any]:
-        """Route one request envelope; always returns one ack or error
-        envelope bearing the request's id."""
+        """Route one request envelope through ``ROUTES`` by its kind; always
+        returns one ack or error envelope bearing the request's id."""
         request_id = ""
         if isinstance(envelope, dict):
             request_id = str(envelope.get("request_id") or uuid.uuid4().hex)
@@ -111,101 +112,36 @@ class BrokerService:
             body = envelope.get("body")
             if not isinstance(body, dict):
                 raise errors.BadRequest("envelope body must be a JSON object")
-            if kind == "subscribe":
-                return wire.ack(request_id, self._subscribe(body))
-            if kind == "register":
-                return wire.ack(request_id, self._register(body))
-            if kind == "notify":
-                return wire.ack(request_id, self._notify(body))
-            if kind == "pull-current":
-                return wire.ack(request_id, self._pull(body, current=True))
-            if kind == "pull-last":
-                return wire.ack(request_id, self._pull(body, current=False))
-            raise errors.BadRequest(f"unsupported envelope kind {kind!r}")
+            route = ROUTES.get(kind) if isinstance(kind, str) else None
+            if route is None:
+                raise errors.BadRequest(f"unsupported envelope kind {kind!r}")
+            try:
+                result = route.handler(self.broker, body)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise errors.BadRequest(f"malformed {kind} body: {exc}") from exc
+            if route.mutates:
+                self._persist()
+            return wire.ack(request_id, result)
         except errors.BrokerError as exc:
             return wire.error_envelope(request_id, exc)
+        except Exception as exc:
+            log.exception("unhandled error on request %s", request_id)
+            return wire.error_envelope(request_id, errors.Internal(f"internal error: {exc}"))
 
-    def _subscribe(self, body: dict[str, Any]) -> dict[str, Any]:
-        try:
-            profile = RequirementProfile.from_dict(body["profile"])
-            consumer_id = body["consumer_id"]
-            callback_address = body["callback_address"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise errors.BadRequest(f"malformed subscribe body: {exc}") from exc
-        subscription_id = self.broker.subscribe(consumer_id, profile, callback_address)
-        self._persist()
-        return {"subscription_id": subscription_id}
-
-    def _register(self, body: dict[str, Any]) -> dict[str, Any]:
-        try:
-            offer = ServiceOffer.from_dict(body["offer"])
-            service_address = body["service_address"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise errors.BadRequest(f"malformed register body: {exc}") from exc
-        registration_id = self.broker.register_context_service(offer, service_address)
-        self._persist()
-        return {"registration_id": registration_id}
-
-    def _notify(self, body: dict[str, Any]) -> dict[str, Any]:
-        try:
-            service_id = body["service_id"]
-            sample = ContextSample.from_dict(body["sample"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise errors.BadRequest(f"malformed notify body: {exc}") from exc
-        self.broker.notify_context_change(service_id, sample)
-        return {}
-
-    def _pull(self, body: dict[str, Any], current: bool) -> dict[str, Any]:
-        try:
-            subscription_id = body["subscription_id"]
-            topic = body["topic"]
-        except KeyError as exc:
-            raise errors.BadRequest(f"malformed pull body: missing {exc}") from exc
-        if current:
-            sample = self.broker.get_current_topic_value(subscription_id, topic)
-        else:
-            sample = self.broker.get_last_topic_value(subscription_id, topic)
-        return {"sample": sample.to_dict()}
-
-    # -- non-envelope operations (DELETE / GET endpoints) ------------------
+    # Thin wrappers kept for direct callers; the HTTP frontend calls only
+    # handle_request, so each request is handled exactly once.
 
     def unsubscribe(self, subscription_id: str, request_id: str | None = None) -> dict[str, Any]:
-        rid = request_id or uuid.uuid4().hex
-        try:
-            self.broker.unsubscribe(subscription_id)
-            self._persist()
-            return wire.ack(rid)
-        except errors.BrokerError as exc:
-            return wire.error_envelope(rid, exc)
+        return self.handle_request(
+            wire.make_envelope("unsubscribe", {"subscription_id": subscription_id}, request_id))
 
     def deregister(self, registration_id: str, request_id: str | None = None) -> dict[str, Any]:
-        rid = request_id or uuid.uuid4().hex
-        try:
-            self.broker.deregister_context_service(registration_id)
-            self._persist()
-            return wire.ack(rid)
-        except errors.BrokerError as exc:
-            return wire.error_envelope(rid, exc)
-
-    def find_services(self, topic: str, request_id: str | None = None) -> dict[str, Any]:
-        rid = request_id or uuid.uuid4().hex
-        return wire.ack(rid, {"service_ids": self.broker.find_context_services(topic)})
-
-    def find_consumers(self, topic: str, request_id: str | None = None) -> dict[str, Any]:
-        rid = request_id or uuid.uuid4().hex
-        return wire.ack(rid, {"subscription_ids": self.broker.find_context_consumers(topic)})
+        return self.handle_request(
+            wire.make_envelope("deregister", {"registration_id": registration_id}, request_id))
 
     def decision(self, subscription_id: str, request_id: str | None = None) -> dict[str, Any]:
-        rid = request_id or uuid.uuid4().hex
-        try:
-            decision = self.broker.get_decision(subscription_id)
-            return wire.ack(rid, {"decision": decision.to_dict()})
-        except errors.BrokerError as exc:
-            return wire.error_envelope(rid, exc)
-
-    def drain(self, request_id: str | None = None) -> dict[str, Any]:
-        self.broker.drain()
-        return wire.ack(request_id or uuid.uuid4().hex)
+        return self.handle_request(
+            wire.make_envelope("decision", {"subscription_id": subscription_id}, request_id))
 
     def close(self) -> None:
         self.broker.close()
@@ -216,21 +152,102 @@ class BrokerService:
                 save_snapshot(self.config.persist_path, self.broker.snapshot_state())
 
 
-_ROUTES: list[tuple[str, re.Pattern[str], str]] = [
-    ("POST", re.compile(r"^/subscriptions$"), "subscribe"),
-    ("POST", re.compile(r"^/registrations$"), "register"),
-    ("POST", re.compile(r"^/notify$"), "notify"),
-    ("POST", re.compile(r"^/debug/drain$"), "drain"),
-    ("DELETE", re.compile(r"^/subscriptions/(?P<sub>[^/]+)$"), "unsubscribe"),
-    ("DELETE", re.compile(r"^/registrations/(?P<reg>[^/]+)$"), "deregister"),
-    ("GET", re.compile(r"^/subscriptions/(?P<sub>[^/]+)/topics/(?P<topic>[^/]+)/current$"), "pull-current"),
-    ("GET", re.compile(r"^/subscriptions/(?P<sub>[^/]+)/topics/(?P<topic>[^/]+)/last$"), "pull-last"),
-    ("GET", re.compile(r"^/subscriptions/(?P<sub>[^/]+)/decision$"), "decision"),
-    ("GET", re.compile(r"^/topics/(?P<topic>[^/]+)/services$"), "find-services"),
-    ("GET", re.compile(r"^/topics/(?P<topic>[^/]+)/consumers$"), "find-consumers"),
-]
+# -- the route table: one row per envelope kind ------------------------------
 
-_ENVELOPE_KIND_FOR_PATH = {"subscribe": "subscribe", "register": "register", "notify": "notify"}
+
+class Route(NamedTuple):
+    """How one envelope kind arrives over HTTP and what it does to the broker.
+
+    POST routes carry the envelope as their body. GET and DELETE routes
+    carry no body: the path's named groups, named after body keys, are it.
+    A mutating route is persisted before its ack.
+    """
+
+    verb: str
+    path: re.Pattern[str]
+    handler: Callable[[ContextBroker, dict[str, Any]], dict[str, Any]]
+    mutates: bool = False
+
+
+def _subscribe(broker: ContextBroker, body: dict[str, Any]) -> dict[str, Any]:
+    profile = RequirementProfile.from_dict(body["profile"])
+    subscription_id = broker.subscribe(body["consumer_id"], profile, body["callback_address"])
+    return {"subscription_id": subscription_id}
+
+
+def _register(broker: ContextBroker, body: dict[str, Any]) -> dict[str, Any]:
+    offer = ServiceOffer.from_dict(body["offer"])
+    return {"registration_id": broker.register_context_service(offer, body["service_address"])}
+
+
+def _notify(broker: ContextBroker, body: dict[str, Any]) -> dict[str, Any]:
+    broker.notify_context_change(body["service_id"], ContextSample.from_dict(body["sample"]))
+    return {}
+
+
+def _unsubscribe(broker: ContextBroker, body: dict[str, Any]) -> dict[str, Any]:
+    broker.unsubscribe(body["subscription_id"])
+    return {}
+
+
+def _deregister(broker: ContextBroker, body: dict[str, Any]) -> dict[str, Any]:
+    broker.deregister_context_service(body["registration_id"])
+    return {}
+
+
+def _pull_current(broker: ContextBroker, body: dict[str, Any]) -> dict[str, Any]:
+    sample = broker.get_current_topic_value(body["subscription_id"], body["topic"])
+    return {"sample": sample.to_dict()}
+
+
+def _pull_last(broker: ContextBroker, body: dict[str, Any]) -> dict[str, Any]:
+    sample = broker.get_last_topic_value(body["subscription_id"], body["topic"])
+    return {"sample": sample.to_dict()}
+
+
+def _drain(broker: ContextBroker, body: dict[str, Any]) -> dict[str, Any]:
+    if not broker.drain():
+        raise errors.UpstreamUnavailable("queued deliveries still pending after the drain timeout")
+    return {}
+
+
+_SUB = r"/subscriptions/(?P<subscription_id>[^/]+)"
+_TOPIC = r"/topics/(?P<topic>[^/]+)"
+
+ROUTES: dict[str, Route] = {
+    "subscribe": Route("POST", re.compile("/subscriptions"), _subscribe, mutates=True),
+    "unsubscribe": Route("DELETE", re.compile(_SUB), _unsubscribe, mutates=True),
+    "register": Route("POST", re.compile("/registrations"), _register, mutates=True),
+    "deregister": Route("DELETE", re.compile(r"/registrations/(?P<registration_id>[^/]+)"),
+                        _deregister, mutates=True),
+    "notify": Route("POST", re.compile("/notify"), _notify),
+    "pull-current": Route("GET", re.compile(_SUB + _TOPIC + "/current"), _pull_current),
+    "pull-last": Route("GET", re.compile(_SUB + _TOPIC + "/last"), _pull_last),
+    "decision": Route("GET", re.compile(_SUB + "/decision"), lambda broker, body: {
+        "decision": broker.get_decision(body["subscription_id"]).to_dict()}),
+    "find-services": Route("GET", re.compile(_TOPIC + "/services"), lambda broker, body: {
+        "service_ids": broker.find_context_services(body["topic"])}),
+    "find-consumers": Route("GET", re.compile(_TOPIC + "/consumers"), lambda broker, body: {
+        "subscription_ids": broker.find_context_consumers(body["topic"])}),
+    "drain": Route("POST", re.compile("/debug/drain"), _drain),
+}
+
+
+def _match(verb: str, path: str) -> tuple[str, dict[str, str]]:
+    """The kind whose route serves ``verb path``, with the path's groups unquoted."""
+    for kind, route in ROUTES.items():
+        match = route.path.fullmatch(path)
+        if match and route.verb == verb:
+            return kind, {k: urllib.parse.unquote(v) for k, v in match.groupdict().items()}
+    raise errors.NotFound(f"no route for {verb} {path}")
+
+
+def _decode(raw: bytes) -> Any:
+    """The JSON document in a request body; None when empty or unparseable."""
+    try:
+        return json.loads(raw.decode("utf-8")) if raw else None
+    except ValueError:
+        return None
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -238,90 +255,30 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
 
-    def do_POST(self) -> None:
-        self._dispatch("POST")
-
-    def do_GET(self) -> None:
-        self._dispatch("GET")
-
-    def do_DELETE(self) -> None:
-        self._dispatch("DELETE")
-
-    def _dispatch(self, method: str) -> None:
+    def _dispatch(self) -> None:
         parsed = urllib.parse.urlparse(self.path)
-        route = None
-        groups: dict[str, str] = {}
-        for verb, pattern, name in _ROUTES:
-            match = pattern.match(parsed.path)
-            if match and verb == method:
-                route, groups = name, {
-                    k: urllib.parse.unquote(v) for k, v in match.groupdict().items()
-                }
-                break
-        if route is None:
-            self._send(404, wire.error_envelope(
-                self._request_id(parsed), errors.NotFound(f"no route for {method} {parsed.path}")))
-            return
+        envelope: Any = None
         try:
-            response = self._invoke(route, groups, parsed)
+            if self.command == "POST":
+                envelope = _decode(wire.read_body(self))
+            kind, groups = _match(self.command, parsed.path)
+            if self.command != "POST":
+                envelope = wire.make_envelope(kind, groups, self._request_id(parsed))
+            elif isinstance(envelope, dict) and envelope.get("kind") != kind:
+                raise errors.BadRequest(
+                    f"endpoint expects kind {kind!r}, got {envelope.get('kind')!r}")
+            response = self.service.handle_request(envelope)
         except errors.BrokerError as exc:
-            response = wire.error_envelope(self._request_id(parsed), exc)
-        except Exception as exc:  # pragma: no cover - defensive
-            log.exception("unhandled error on %s %s", method, parsed.path)
-            response = wire.error_envelope(
-                self._request_id(parsed), errors.BadRequest(f"internal error: {exc}"))
+            request_id = envelope.get("request_id") if isinstance(envelope, dict) else None
+            response = wire.error_envelope(str(request_id or self._request_id(parsed)), exc)
         status = 200
-        if response.get("kind") == "error":
-            status = wire.http_status_for(response["body"].get("code", ""))
-        self._send(status, response)
+        if response["kind"] == "error":
+            status = wire.http_status_for(response["body"]["code"])
+        wire.send_json(self, status, response)
 
-    def _invoke(self, route: str, groups: dict[str, str], parsed) -> dict[str, Any]:
-        service = self.service
-        if route in ("subscribe", "register", "notify"):
-            envelope = self._read_envelope()
-            expected = _ENVELOPE_KIND_FOR_PATH[route]
-            if isinstance(envelope, dict) and envelope.get("kind") != expected:
-                return wire.error_envelope(
-                    str(envelope.get("request_id") or ""),
-                    errors.BadRequest(
-                        f"endpoint expects kind {expected!r}, got {envelope.get('kind')!r}"
-                    ),
-                )
-            return service.handle_request(envelope)
-        request_id = self._request_id(parsed)
-        if route == "drain":
-            return service.drain(request_id)
-        if route == "unsubscribe":
-            return service.unsubscribe(groups["sub"], request_id)
-        if route == "deregister":
-            return service.deregister(groups["reg"], request_id)
-        if route == "pull-current":
-            return service.handle_request(wire.make_envelope(
-                "pull-current", {"subscription_id": groups["sub"], "topic": groups["topic"]},
-                request_id))
-        if route == "pull-last":
-            return service.handle_request(wire.make_envelope(
-                "pull-last", {"subscription_id": groups["sub"], "topic": groups["topic"]},
-                request_id))
-        if route == "decision":
-            return service.decision(groups["sub"], request_id)
-        if route == "find-services":
-            return service.find_services(groups["topic"], request_id)
-        if route == "find-consumers":
-            return service.find_consumers(groups["topic"], request_id)
-        raise errors.NotFound(f"no handler for route {route!r}")
+    do_POST = do_GET = do_DELETE = _dispatch
 
-    def _read_envelope(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return None
-        try:
-            return json.loads(raw.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError):
-            return None
-
-    def _request_id(self, parsed) -> str:
+    def _request_id(self, parsed: urllib.parse.ParseResult) -> str:
         header = self.headers.get("X-Request-Id")
         if header:
             return header
@@ -329,14 +286,6 @@ class _Handler(BaseHTTPRequestHandler):
         if query:
             return query[0]
         return uuid.uuid4().hex
-
-    def _send(self, status: int, payload: dict[str, Any]) -> None:
-        data = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
 
     def log_message(self, format: str, *args: Any) -> None:
         log.debug("%s - %s", self.address_string(), format % args)

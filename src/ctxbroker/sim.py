@@ -272,13 +272,13 @@ def emit_report(report: RunReport, format: str = "table") -> str:
                     str(t["advisories"]),
                 )
             )
-    lines.extend(_tabulate(consumer_rows))
+    lines.extend(tabulate(consumer_rows))
     lines.append("")
     service_rows = [("service", "publications", "pulls")]
     for service_id in sorted(report.services):
         s = report.services[service_id]
         service_rows.append((service_id, str(s["publications"]), str(s["pulls"])))
-    lines.extend(_tabulate(service_rows))
+    lines.extend(tabulate(service_rows))
     lines.append("")
     totals = report.totals
     lines.append(
@@ -303,7 +303,8 @@ def parse_report(text: str) -> RunReport:
     return RunReport.from_dict(json.loads(text))
 
 
-def _tabulate(rows: list[tuple[str, ...]]) -> list[str]:
+def tabulate(rows: list[tuple[str, ...]]) -> list[str]:
+    """Left-aligned text columns; the first row is the header, underlined."""
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     out = []
     for index, row in enumerate(rows):
@@ -384,15 +385,18 @@ class _SimEndpointsHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:
         path = urllib.parse.unquote(self.path)
         parts = [p for p in path.split("/") if p]
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b"{}"
+        try:
+            raw = wire.read_body(self) or b"{}"
+        except errors.BadRequest:
+            wire.send_json(self, 400, {"ok": False})
+            return
         if len(parts) == 2 and parts[0] == "consumers":
             consumer = self.hub.consumers.get(parts[1])
             if consumer is not None:
                 consumer.receive(json.loads(raw.decode("utf-8")))
-                self._send(200, {"ok": True})
+                wire.send_json(self, 200, {"ok": True})
                 return
-        self._send(404, {"ok": False})
+        wire.send_json(self, 404, {"ok": False})
 
     def do_GET(self) -> None:
         path = urllib.parse.unquote(self.path)
@@ -401,17 +405,9 @@ class _SimEndpointsHandler(BaseHTTPRequestHandler):
             service = self.hub.services.get(parts[1])
             sample = service.pull(parts[3]) if service is not None else None
             if sample is not None:
-                self._send(200, sample)
+                wire.send_json(self, 200, sample)
                 return
-        self._send(404, {})
-
-    def _send(self, status: int, payload: dict[str, Any]) -> None:
-        data = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        wire.send_json(self, 404, {})
 
     def log_message(self, format: str, *args: Any) -> None:
         log.debug("sim endpoint: " + format, *args)

@@ -16,6 +16,7 @@ import urllib.error
 import urllib.parse
 import urllib.request
 import uuid
+from http.server import BaseHTTPRequestHandler
 from typing import Any
 
 from . import errors
@@ -23,9 +24,9 @@ from .broker import DeliveryStatus, RetryPolicy
 
 log = logging.getLogger(__name__)
 
-REQUEST_KINDS = ("subscribe", "register", "notify", "pull-current", "pull-last")
-PUSH_KINDS = ("notify", "advisory")
-RESPONSE_KINDS = ("ack", "error")
+# Largest request body an HTTP handler reads; a longer declared body is
+# refused before any of it is read.
+MAX_BODY_BYTES = 1 << 20
 
 
 def make_envelope(kind: str, body: dict[str, Any], request_id: str | None = None) -> dict[str, Any]:
@@ -55,6 +56,38 @@ def http_status_for(code: str) -> int:
         "NO_VALUE_YET": 404,
         "UPSTREAM_UNAVAILABLE": 502,
     }.get(code, 500)
+
+
+def read_body(handler: BaseHTTPRequestHandler) -> bytes:
+    """Read the request body of the declared ``Content-Length``.
+
+    A length that is not an integer, is negative or exceeds
+    ``MAX_BODY_BYTES`` raises BadRequest without reading the body, and
+    marks the connection to close: its unread bytes cannot be parsed as
+    the next request.
+    """
+    declared = handler.headers.get("Content-Length") or "0"
+    try:
+        length = int(declared)
+    except ValueError:
+        length = -1
+    if not 0 <= length <= MAX_BODY_BYTES:
+        handler.close_connection = True
+        raise errors.BadRequest(
+            f"Content-Length must be an integer from 0 to {MAX_BODY_BYTES}, got {declared!r}")
+    return handler.rfile.read(length) if length else b""
+
+
+def send_json(handler: BaseHTTPRequestHandler, status: int, payload: Any) -> None:
+    """Answer the request with ``payload`` as a JSON document."""
+    data = json.dumps(payload).encode("utf-8")
+    handler.send_response(status)
+    handler.send_header("Content-Type", "application/json")
+    handler.send_header("Content-Length", str(len(data)))
+    if handler.close_connection:
+        handler.send_header("Connection", "close")
+    handler.end_headers()
+    handler.wfile.write(data)
 
 
 def _request_json(

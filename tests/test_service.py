@@ -3,8 +3,10 @@ snapshot persistence and crash-restart equivalence."""
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -15,6 +17,7 @@ import pytest
 from ctxbroker.broker import RetryPolicy
 from ctxbroker.model import IndicatorCatalog
 from ctxbroker.service import (
+    ROUTES,
     BrokerService,
     ServiceConfig,
     SnapshotError,
@@ -23,7 +26,7 @@ from ctxbroker.service import (
     serve,
 )
 from ctxbroker.sim import _SimEndpoints
-from ctxbroker.wire import WireClient, WireError, make_envelope, push_notification
+from ctxbroker.wire import MAX_BODY_BYTES, WireClient, WireError, make_envelope, push_notification
 
 from conftest import make_offer
 from helpers import RecordingTransport, random_profile
@@ -38,6 +41,27 @@ def config_for(catalog, tmp_path=None, listen="127.0.0.1:0"):
         persist_path=None if tmp_path is None else tmp_path / "state.json",
         retry=FAST_RETRY,
     )
+
+
+def http_json(method, url, envelope=None, headers=None):
+    """One HTTP exchange; returns (status, decoded body) for errors too."""
+    data = None if envelope is None else json.dumps(envelope).encode()
+    request = urllib.request.Request(url, data=data, headers=headers or {}, method=method)
+    try:
+        with urllib.request.urlopen(request, timeout=5) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
+
+
+def raw_exchange(port, data, timeout=1.5):
+    """Send raw bytes on one connection; read until the server closes it."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(data)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
 
 
 @pytest.fixture
@@ -132,6 +156,15 @@ class TestEnvelopeRouting:
         ]["code"] == "BAD_REQUEST"
         missing = service.handle_request(make_envelope("subscribe", {}))
         assert missing["body"]["code"] == "BAD_REQUEST"
+        service.close()
+
+    def test_timed_out_drain_is_an_error(self, threshold_catalog, monkeypatch):
+        service = self.make_service(threshold_catalog)
+        monkeypatch.setattr(service.broker, "drain", lambda timeout=10.0: False)
+        response = service.handle_request(make_envelope("drain", {}, request_id="req-d"))
+        assert response["kind"] == "error"
+        assert response["request_id"] == "req-d"
+        assert response["body"]["code"] == "UPSTREAM_UNAVAILABLE"
         service.close()
 
     def test_request_response_pairing(self, threshold_catalog, threshold_profile):
@@ -315,8 +348,8 @@ class TestHttpEndpoints:
             assert body["body"]["code"] == "BAD_REQUEST"
             assert "expects kind" in body["body"]["message"]
 
-    def test_request_id_header_round_trips(self, running):
-        handle, _ = running
+    def test_request_id_header_round_trips(self, running, threshold_profile):
+        handle, client = running
         request = urllib.request.Request(
             handle.base_url + "/topics/location/services",
             headers={"X-Request-Id": "my-req-42"},
@@ -325,6 +358,85 @@ class TestHttpEndpoints:
             payload = json.loads(response.read())
         assert payload["request_id"] == "my-req-42"
         assert payload["kind"] == "ack"
+
+        sub = client.subscribe("app-1", threshold_profile.to_dict(), "cb://app-1")
+        status, payload = http_json(
+            "GET", f"{handle.base_url}/subscriptions/{sub}/topics/location/last?request_id=q-7")
+        assert (status, payload["request_id"]) == (404, "q-7")
+        assert payload["body"]["code"] == "NO_VALUE_YET"
+        status, payload = http_json(
+            "DELETE", f"{handle.base_url}/subscriptions/{sub}", headers={"X-Request-Id": "d-8"})
+        assert (status, payload["kind"], payload["request_id"]) == (200, "ack", "d-8")
+
+    @pytest.mark.parametrize("length", ["-1", str(MAX_BODY_BYTES + 1), "ten"])
+    def test_bad_content_length_is_refused_promptly(self, running, length):
+        handle, _ = running
+        head = f"POST /subscriptions HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n"
+        answer = raw_exchange(handle.port, head.encode())
+        assert answer.startswith(b"HTTP/1.1 400 ")
+        assert b'"BAD_REQUEST"' in answer
+
+    def test_drain_then_get_on_one_connection(self, running):
+        handle, _ = running
+        conn = http.client.HTTPConnection(handle.host, handle.port, timeout=5)
+        try:
+            conn.request("POST", "/debug/drain", json.dumps(make_envelope("drain", {})))
+            first = conn.getresponse()
+            acks = [(first.status, json.loads(first.read())["kind"])]
+            sock = conn.sock
+            conn.request("GET", "/topics/location/services")
+            second = conn.getresponse()
+            acks.append((second.status, json.loads(second.read())["kind"]))
+            assert conn.sock is sock
+        finally:
+            conn.close()
+        assert acks == [(200, "ack"), (200, "ack")]
+
+    def test_each_route_enters_handle_request_once(self, threshold_catalog, monkeypatch):
+        kinds = []
+        original = BrokerService.handle_request
+
+        def counted(self, envelope):
+            kinds.append(envelope["kind"])
+            return original(self, envelope)
+
+        monkeypatch.setattr(BrokerService, "handle_request", counted)
+        for wrapper in ("unsubscribe", "deregister", "decision"):
+            monkeypatch.setattr(BrokerService, wrapper, None)
+        requests = {
+            "subscribe": ("POST", "/subscriptions"),
+            "unsubscribe": ("DELETE", "/subscriptions/sub-1"),
+            "register": ("POST", "/registrations"),
+            "deregister": ("DELETE", "/registrations/reg-1"),
+            "notify": ("POST", "/notify"),
+            "pull-current": ("GET", "/subscriptions/sub-1/topics/location/current"),
+            "pull-last": ("GET", "/subscriptions/sub-1/topics/location/last"),
+            "decision": ("GET", "/subscriptions/sub-1/decision"),
+            "find-services": ("GET", "/topics/location/services"),
+            "find-consumers": ("GET", "/topics/location/consumers"),
+            "drain": ("POST", "/debug/drain"),
+        }
+        assert sorted(requests) == sorted(ROUTES)
+        with serve(config_for(threshold_catalog)) as handle:
+            for kind, (verb, path) in requests.items():
+                envelope = make_envelope(kind, {}) if verb == "POST" else None
+                http_json(verb, handle.base_url + path, envelope)
+        assert kinds == list(requests)
+
+    def test_unexpected_failure_is_internal_500(self, threshold_catalog, threshold_profile, tmp_path):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        config = ServiceConfig(
+            catalog=threshold_catalog, persist_path=blocker / "state.json", retry=FAST_RETRY)
+        envelope = make_envelope("subscribe", {
+            "consumer_id": "app-1",
+            "profile": threshold_profile.to_dict(),
+            "callback_address": "cb://app-1",
+        }, request_id="req-i")
+        with serve(config) as handle:
+            status, payload = http_json("POST", handle.base_url + "/subscriptions", envelope)
+        assert (status, payload["request_id"]) == (500, "req-i")
+        assert payload["body"]["code"] == "INTERNAL"
 
     def test_unknown_route_is_not_found(self, running):
         handle, _ = running
