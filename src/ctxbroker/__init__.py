@@ -29,17 +29,13 @@ from .model import (
 )
 from .selection import (
     DecisionMatrix,
-    ScoreMatrix,
-    TopicScoreVector,
     build_decision_matrix,
-    difference_matrix,
     oracle_select,
     qoc_feasible,
     qos_feasible,
     renegotiation_report,
-    score_matrix,
+    score,
     select_multi_cloud,
-    topic_scores,
 )
 from .service import BrokerService, ServiceConfig, ServiceHandle, SnapshotError, serve
 from .sim import (

@@ -9,9 +9,9 @@ trigger reselection, because offers rather than observed values drive
 selection.
 
 Only the currently selected service's publications reach a subscriber.
-Publications from other services still land in the topic cache and the
-event log, but are never fanned out, which is what gives the selection
-algorithm operational force.
+Publications from other services still land in the topic cache, but are
+never fanned out, which is what gives the selection algorithm
+operational force.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ import logging
 import threading
 import time
 import uuid
+from collections import deque
 from dataclasses import dataclass
-from queue import Queue
 from typing import Any, Callable, Protocol
 
 from . import errors
@@ -116,34 +116,40 @@ class SelectionState:
 
 
 class _Dispatcher:
-    """Single-worker delivery queue: global FIFO, hence per-subscription FIFO."""
+    """Single-worker delivery queue: global FIFO, hence per-subscription FIFO.
+
+    The queue is guarded by the broker's lock, under which every message
+    is enqueued. The worker takes that lock to dequeue and to count a
+    delivery done, and pushes outside it, so it yields to registry work
+    instead of contending for the interpreter with it.
+    """
 
     _STOP = object()
 
-    def __init__(
-        self,
-        transport: Transport,
-        on_done: Callable[[dict[str, Any], DeliveryStatus], None],
-    ) -> None:
+    def __init__(self, transport: Transport, lock: threading.RLock) -> None:
         self._transport = transport
-        self._on_done = on_done
-        self._queue: Queue = Queue()
+        self._queue: deque = deque()
         self._pending = 0
-        self._cond = threading.Condition()
+        self._ready = threading.Condition(lock)
+        self._idle = threading.Condition(lock)
         self._thread = threading.Thread(target=self._run, name="ctxbroker-dispatch", daemon=True)
         self._thread.start()
 
-    def enqueue(self, callback_address: str, message: dict[str, Any], meta: dict[str, Any]) -> None:
-        with self._cond:
+    def enqueue(self, callback_address: str, message: dict[str, Any]) -> None:
+        with self._ready:
             self._pending += 1
-        self._queue.put((callback_address, message, meta))
+            self._queue.append((callback_address, message))
+            self._ready.notify()
 
     def _run(self) -> None:
         while True:
-            item = self._queue.get()
+            with self._ready:
+                while not self._queue:
+                    self._ready.wait()
+                item = self._queue.popleft()
             if item is self._STOP:
                 return
-            address, message, meta = item
+            address, message = item
             try:
                 status = self._transport.push(address, message)
             except Exception:
@@ -154,26 +160,26 @@ class _Dispatcher:
                     "dropping %s for %s after %d attempt(s)",
                     message.get("kind"), address, status.attempts,
                 )
-            try:
-                self._on_done(meta, status)
-            finally:
-                with self._cond:
-                    self._pending -= 1
-                    self._cond.notify_all()
+            with self._idle:
+                self._pending -= 1
+                if not self._pending:
+                    self._idle.notify_all()
 
     def drain(self, timeout: float = 10.0) -> bool:
         """Block until the queue is empty and no delivery is in flight."""
         deadline = time.monotonic() + timeout
-        with self._cond:
+        with self._idle:
             while self._pending > 0:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return False
-                self._cond.wait(remaining)
+                self._idle.wait(remaining)
         return True
 
     def close(self) -> None:
-        self._queue.put(self._STOP)
+        with self._ready:
+            self._queue.append(self._STOP)
+            self._ready.notify()
         self._thread.join(timeout=5.0)
 
 
@@ -205,7 +211,7 @@ class ContextBroker:
         self._next_sub = 1
         self._next_reg = 1
         self._seq = 0
-        self._dispatcher = _Dispatcher(self._transport, self._record_dispatch)
+        self._dispatcher = _Dispatcher(self._transport, self._lock)
 
     # -- registries ---------------------------------------------------
 
@@ -317,7 +323,6 @@ class ContextBroker:
                     f"timestamp regression for {service_id!r}/{sample.topic!r}"
                 )
             self._cache[key] = sample
-            self._record("notify", service_id=service_id, sample=sample.to_dict())
             for sub in self._subscriptions.values():
                 state = self._selection[sub.subscription_id]
                 if sample.topic in sub.profile.topics and (
@@ -356,8 +361,6 @@ class ContextBroker:
             cached = self._cache.get(key)
             if cached is None or sample.produced_at >= cached.produced_at:
                 self._cache[key] = sample
-            self._record("pull", subscription_id=subscription_id, topic=topic,
-                         service_id=selected)
         return sample
 
     def get_last_topic_value(self, subscription_id: str, topic: TopicId) -> ContextSample:
@@ -431,7 +434,7 @@ class ContextBroker:
             return self._selection[subscription_id].revision
 
     def events(self) -> list[dict[str, Any]]:
-        """Structured log: one record per mutation and per dispatch."""
+        """Structured log: one record per registry mutation."""
         with self._lock:
             return list(self._events)
 
@@ -562,13 +565,7 @@ class ContextBroker:
                 "sample": sample.to_dict(),
             },
         }
-        meta = {
-            "message_kind": "notify",
-            "subscription_id": sub.subscription_id,
-            "topic": sample.topic,
-            "service_id": sample.service_id,
-        }
-        self._dispatcher.enqueue(sub.callback_address, message, meta)
+        self._dispatcher.enqueue(sub.callback_address, message)
 
     def _enqueue_advisory(self, sub: Subscription, topics: list[TopicId]) -> None:
         message = {
@@ -579,27 +576,8 @@ class ContextBroker:
                 "topics": list(topics),
             },
         }
-        meta = {
-            "message_kind": "advisory",
-            "subscription_id": sub.subscription_id,
-            "topics": list(topics),
-        }
-        self._dispatcher.enqueue(sub.callback_address, message, meta)
+        self._dispatcher.enqueue(sub.callback_address, message)
 
     def _record(self, kind: str, **payload: Any) -> None:
         self._seq += 1
         self._events.append({"seq": self._seq, "kind": kind, "at": self._clock(), **payload})
-
-    def _record_dispatch(self, meta: dict[str, Any], status: DeliveryStatus) -> None:
-        with self._lock:
-            self._seq += 1
-            self._events.append(
-                {
-                    "seq": self._seq,
-                    "kind": "dispatch",
-                    "at": self._clock(),
-                    "status": "delivered" if status.delivered else "dropped",
-                    "attempts": status.attempts,
-                    **meta,
-                }
-            )

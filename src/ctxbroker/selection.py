@@ -7,9 +7,8 @@ services are then ranked per topic by the weighted sum of their QoC
 levels, and the top scorer wins the topic.
 
 Feasibility is always decided on the raw offer-vs-minimum comparison,
-never on the sign of the weighted difference matrix: a zero weight must
-not mask a threshold violation. The difference matrix is still exposed
-for diagnostics.
+never on weighted values: a zero weight must not mask a threshold
+violation.
 
 Scores of tied services are considered equal within ``TIE_TOLERANCE``
 and the tie is broken by lexicographically smallest service id, so that
@@ -19,32 +18,12 @@ selection is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 from .errors import Conflict, DimensionMismatch, NotSubscribed
 from .model import Matrix, RequirementProfile, ServiceOffer, TopicId, Vector
 
 TIE_TOLERANCE = 1e-12
-
-
-@dataclass(frozen=True)
-class ScoreMatrix:
-    """Entrywise weight x quality products, one row per topic.
-
-    ``service_id`` is None for the minimum-score matrix derived from the
-    consumer's own thresholds.
-    """
-
-    entries: Matrix
-    service_id: str | None = None
-
-
-@dataclass(frozen=True)
-class TopicScoreVector:
-    """One service's score per subscribed topic; 0 where infeasible."""
-
-    service_id: str
-    scores: Vector
 
 
 @dataclass(frozen=True)
@@ -74,16 +53,6 @@ class DecisionMatrix:
             "selected": list(self.selected),
         }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "DecisionMatrix":
-        return cls(
-            topics=tuple(data["topics"]),
-            services=tuple(data["services"]),
-            scores=tuple(tuple(float(v) for v in row) for row in data["scores"]),
-            max_score=tuple(float(v) for v in data["max_score"]),
-            selected=tuple(data["selected"]),
-        )
-
 
 def qos_feasible(offer: ServiceOffer, profile: RequirementProfile) -> bool:
     """True iff the offer meets every global QoS minimum.
@@ -108,68 +77,31 @@ def qoc_feasible(
     """
     if topic not in profile.topics:
         raise NotSubscribed(f"topic {topic!r} is not in the profile")
-    if not offer.offers_topic(topic):
-        return False
-    j = profile.topic_index(topic)
-    minimums = profile.qoc_min[j]
-    levels = offer.qoc_offer[topic]
-    if len(levels) != len(minimums):
-        raise DimensionMismatch(
-            f"qoc vector of {offer.service_id!r} for {topic!r} has {len(levels)} "
-            f"entries, profile expects {len(minimums)}"
-        )
-    return all(q >= mn for mn, q in zip(minimums, levels))
+    return score(offer, profile, profile.topic_index(topic)) is not None
 
 
-def score_matrix(
-    weights: Sequence[Sequence[float]],
-    qoc: Sequence[Sequence[float]],
-    service_id: str | None = None,
-) -> ScoreMatrix:
-    """Entrywise product of a weight matrix and a quality matrix.
+def score(offer: ServiceOffer, profile: RequirementProfile, j: int) -> float | None:
+    """Weighted QoC sum of ``offer`` for the profile's topic ``j``.
 
-    Applied to an offer's levels this yields the service's score matrix;
-    applied to the profile's own minimums it yields the minimum score
-    matrix.
-    """
-    if len(weights) != len(qoc) or any(
-        len(wr) != len(qr) for wr, qr in zip(weights, qoc)
-    ):
-        raise DimensionMismatch("weight and quality matrices disagree in shape")
-    entries = tuple(
-        tuple(w * q for w, q in zip(wrow, qrow)) for wrow, qrow in zip(weights, qoc)
-    )
-    return ScoreMatrix(entries=entries, service_id=service_id)
-
-
-def difference_matrix(s_r: ScoreMatrix, s_min: ScoreMatrix) -> Matrix:
-    """Entrywise ``s_r - s_min``, for diagnostics.
-
-    A negative entry in row ``j`` flags the service as unable to satisfy
-    that topic; zero entries are still feasible because minimums are
-    non-strict. With any zero weight this sign test is weaker than the
-    raw check in :func:`qoc_feasible`, which is why feasibility decisions
-    never rely on it.
-    """
-    a, b = s_r.entries, s_min.entries
-    if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
-        raise DimensionMismatch("score matrices disagree in shape")
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def topic_scores(offer: ServiceOffer, profile: RequirementProfile) -> TopicScoreVector:
-    """Weighted QoC sum per topic; 0 for topics the offer cannot satisfy.
-
+    None when the offer does not cover the topic or misses one of its QoC
+    minimums. Floors are compared on the raw levels, so a zero weight
+    never hides a violated minimum; equality with a minimum is met.
     Assumes the caller already filtered on :func:`qos_feasible`.
     """
-    scores = []
-    for j, topic in enumerate(profile.topics):
-        if qoc_feasible(offer, profile, topic):
-            row = score_matrix((profile.weights[j],), (offer.qoc_offer[topic],))
-            scores.append(sum(row.entries[0]))
-        else:
-            scores.append(0.0)
-    return TopicScoreVector(service_id=offer.service_id, scores=tuple(scores))
+    topic = profile.topics[j]
+    levels = offer.qoc_offer.get(topic)
+    if levels is None:
+        return None
+    minimums = profile.qoc_min[j]
+    weights = profile.weights[j]
+    if len(levels) != len(minimums) or len(levels) != len(weights):
+        raise DimensionMismatch(
+            f"qoc vector of {offer.service_id!r} for {topic!r} has {len(levels)} "
+            f"entries, profile has {len(minimums)} minimums and {len(weights)} weights"
+        )
+    if not all(q >= mn for mn, q in zip(minimums, levels)):
+        return None
+    return sum(w * q for w, q in zip(weights, levels))
 
 
 def _check_unique_ids(offers: Iterable[ServiceOffer]) -> None:
@@ -185,11 +117,9 @@ def _rank(candidates: list[tuple[str, float]]) -> tuple[str | None, float]:
     lexicographically smallest id."""
     if not candidates:
         return None, 0.0
-    best = max(score for _, score in candidates)
-    tied = [sid for sid, score in candidates if score >= best - TIE_TOLERANCE]
-    winner = min(tied)
-    score = next(score for sid, score in candidates if sid == winner)
-    return winner, score
+    best = max(value for _, value in candidates)
+    winner = min(sid for sid, value in candidates if value >= best - TIE_TOLERANCE)
+    return winner, next(value for sid, value in candidates if sid == winner)
 
 
 def build_decision_matrix(
@@ -204,26 +134,27 @@ def build_decision_matrix(
     """
     _check_unique_ids(offers)
     eligible = [o for o in offers if qos_feasible(o, profile)]
-    services = tuple(o.service_id for o in eligible)
-    columns = {o.service_id: topic_scores(o, profile) for o in eligible}
 
     rows = []
     max_score = []
     selected: list[str | None] = []
-    for j, topic in enumerate(profile.topics):
-        row = tuple(columns[sid].scores[j] for sid in services)
-        rows.append(row)
-        feasible = [
-            (o.service_id, columns[o.service_id].scores[j])
-            for o in eligible
-            if qoc_feasible(o, profile, topic)
-        ]
-        winner, score = _rank(feasible)
+    for j in range(len(profile.topics)):
+        row = []
+        feasible = []
+        for o in eligible:
+            s = score(o, profile, j)
+            if s is None:
+                row.append(0.0)
+            else:
+                row.append(s)
+                feasible.append((o.service_id, s))
+        rows.append(tuple(row))
+        winner, best = _rank(feasible)
         selected.append(winner)
-        max_score.append(score)
+        max_score.append(best)
     return DecisionMatrix(
         topics=profile.topics,
-        services=services,
+        services=tuple(o.service_id for o in eligible),
         scores=tuple(rows),
         max_score=tuple(max_score),
         selected=tuple(selected),

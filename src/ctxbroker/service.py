@@ -254,6 +254,7 @@ class _Handler(BaseHTTPRequestHandler):
     service: BrokerService  # injected by serve()
 
     protocol_version = "HTTP/1.1"
+    timeout = wire.READ_TIMEOUT_S
 
     def _dispatch(self) -> None:
         parsed = urllib.parse.urlparse(self.path)

@@ -381,6 +381,7 @@ class _SimEndpointsHandler(BaseHTTPRequestHandler):
     hub: "_SimEndpoints"
 
     protocol_version = "HTTP/1.1"
+    timeout = wire.READ_TIMEOUT_S
 
     def do_POST(self) -> None:
         path = urllib.parse.unquote(self.path)

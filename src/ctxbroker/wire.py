@@ -28,6 +28,10 @@ log = logging.getLogger(__name__)
 # refused before any of it is read.
 MAX_BODY_BYTES = 1 << 20
 
+# Seconds an HTTP handler waits on a silent client socket, mid-body or
+# between keep-alive requests, before it drops the connection.
+READ_TIMEOUT_S = 10.0
+
 
 def make_envelope(kind: str, body: dict[str, Any], request_id: str | None = None) -> dict[str, Any]:
     return {

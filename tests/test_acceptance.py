@@ -14,8 +14,8 @@ from ctxbroker.selection import (
     oracle_select,
     qoc_feasible,
     qos_feasible,
+    score,
     select_multi_cloud,
-    topic_scores,
 )
 from ctxbroker.service import BrokerService, ServiceConfig
 from ctxbroker.sim import Scenario, ScenarioEvent, run
@@ -110,7 +110,7 @@ def test_criterion_2_threshold_fixture():
 def _feasible_tie_set(offers, profile, j):
     topic = profile.topics[j]
     candidates = [
-        (o.service_id, topic_scores(o, profile).scores[j])
+        (o.service_id, score(o, profile, j))
         for o in offers
         if qos_feasible(o, profile) and qoc_feasible(o, profile, topic)
     ]

@@ -364,6 +364,20 @@ class TestDeliveryOrderAndCompleteness:
         assert received == [("cs-a", "a1"), ("cs-b", "b1")]
 
 
+class TestEventLog:
+    def test_holds_registry_mutations_only(self, broker, threshold_profile, transport):
+        sub = broker.subscribe("app-1", threshold_profile, "cb://app-1")
+        broker.register_context_service(make_offer("cs-a", 0.9, 0.95, 0.99), "svc://a")
+        for at in range(50):
+            broker.notify_context_change("cs-a", sample_for("cs-a", at=at))
+        transport.values["svc://a"] = {"location": sample_for("cs-a", at=50).to_dict()}
+        broker.get_current_topic_value(sub, "location")
+        broker.get_last_topic_value(sub, "location")
+        assert broker.drain()
+        assert len(transport.messages("cb://app-1", kind="notify")) == 50
+        assert [r["kind"] for r in broker.events()] == ["subscribe", "register"]
+
+
 def replay_events(catalog, events):
     """Rebuild a broker by re-applying the mutation records of an event log."""
     replica = ContextBroker(catalog, transport=RecordingTransport())

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import operator
 import random
 
 import pytest
@@ -12,14 +11,12 @@ from ctxbroker.model import IndicatorCatalog, RequirementProfile, ServiceOffer
 from ctxbroker.selection import (
     TIE_TOLERANCE,
     build_decision_matrix,
-    difference_matrix,
     oracle_select,
     qoc_feasible,
     qos_feasible,
     renegotiation_report,
-    score_matrix,
+    score,
     select_multi_cloud,
-    topic_scores,
 )
 
 from conftest import make_offer
@@ -91,97 +88,41 @@ class TestQocFeasible:
         assert qoc_feasible(make_offer("cs1", 0.80, 0.93, 0.99), threshold_profile, "location")
 
 
-class TestScoreMatrix:
-    def test_matches_elementwise_product_oracle(self):
-        weights = ((0.7, 0.3),)
-        quality = ((0.9, 0.8),)
-        expected = tuple(map(operator.mul, weights[0], quality[0]))
-        result = score_matrix(weights, quality)
-        assert result.entries == (expected,)
-        assert result.entries[0] == pytest.approx((0.63, 0.24))
-
-    def test_zero_quality_annihilates(self):
-        result = score_matrix(((0.7, 0.3),), ((0.0, 0.0),))
-        assert result.entries == ((0.0, 0.0),)
-
-    def test_unit_weights_are_identity(self):
-        quality = ((0.42, 0.77),)
-        result = score_matrix(((1.0, 1.0),), quality)
-        assert result.entries == quality
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(DimensionMismatch):
-            score_matrix(((0.7, 0.3),), ((0.9,),))
-
-
-class TestDifferenceMatrix:
-    def test_negative_entry_marks_shortfall(self):
-        s_r = score_matrix(((0.7, 0.3),), ((0.9, 0.8),))
-        s_min = score_matrix(((0.7, 0.3),), ((0.8, 0.9333),))
-        diff = difference_matrix(s_r, s_min)
-        assert diff[0][0] == pytest.approx(0.07)
-        assert diff[0][1] < 0
-
-    def test_equal_matrices_are_all_zero_and_feasible(self):
-        s = score_matrix(((0.7, 0.3),), ((0.8, 0.9),))
-        assert difference_matrix(s, s) == ((0.0, 0.0),)
-        # Equality at the floor is feasible under the non-strict comparison.
-        profile = simple_profile(qoc_min=(0.8, 0.9), qos_min=(0.0,), weights=(0.7, 0.3))
-        assert qoc_feasible(make_offer("cs1", 0.8, 0.9, 1.0), profile, "location")
-
-    def test_zero_minimums_never_go_negative(self):
-        s_r = score_matrix(((0.7, 0.3),), ((0.2, 0.1),))
-        s_min = score_matrix(((0.7, 0.3),), ((0.0, 0.0),))
-        assert all(v >= 0 for v in difference_matrix(s_r, s_min)[0])
-
-    def test_sign_agrees_with_raw_check_under_positive_weights(self):
-        rng = random.Random(20260808)
-        for _ in range(300):
-            catalog, offers, profile = random_instance(rng, max_services=6)
-            # Force strictly positive weights; keep everything else random.
-            profile = RequirementProfile(
-                topics=profile.topics,
-                qoc_min=profile.qoc_min,
-                qos_min=profile.qos_min,
-                weights=tuple(
-                    tuple(max(w, 0.001) for w in row) for row in profile.weights
-                ),
-            )
-            s_min = score_matrix(profile.weights, profile.qoc_min)
-            for offer in offers:
-                full_qoc = tuple(
-                    offer.qoc_offer.get(t, tuple(0.0 for _ in profile.qoc_min[0]))
-                    for t in profile.topics
-                )
-                diff = difference_matrix(
-                    score_matrix(profile.weights, full_qoc), s_min
-                )
-                for j, topic in enumerate(profile.topics):
-                    if not offer.offers_topic(topic):
-                        continue
-                    raw_ok = all(
-                        q >= mn
-                        for mn, q in zip(profile.qoc_min[j], offer.qoc_offer[topic])
-                    )
-                    sign_ok = all(v >= 0 for v in diff[j])
-                    assert raw_ok == sign_ok
-
-
 class TestTopicScores:
     def test_feasible_topic_sums_weighted_row(self):
         profile = simple_profile(qoc_min=(0.0, 0.0), qos_min=(0.0,), weights=(0.7, 0.3))
         offer = make_offer("cs1", 0.9, 0.8, 1.0)
-        vector = topic_scores(offer, profile)
-        assert vector.scores[0] == pytest.approx(0.87)
+        value = score(offer, profile, 0)
+        assert value == pytest.approx(0.87)
         # Brute-force summation oracle.
         total = 0.0
         for w, q in zip((0.7, 0.3), (0.9, 0.8)):
             total += w * q
-        assert vector.scores[0] == total
+        assert value == total
 
     def test_infeasible_topic_scores_zero(self, threshold_profile):
         offer = make_offer("cs1", 0.75, 0.95, 0.99)
-        assert topic_scores(offer, threshold_profile).scores == (0.0,)
+        assert score(offer, threshold_profile, 0) is None
+        assert build_decision_matrix([offer], threshold_profile).scores == ((0.0,),)
+
+    def test_zero_weight_does_not_hide_a_violated_floor(self):
+        profile = simple_profile(qoc_min=(0.8, 0.93), qos_min=(0.0,), weights=(1.0, 0.0))
+        assert score(make_offer("cs1", 0.9, 0.5, 1.0), profile, 0) is None
+        assert score(make_offer("cs1", 0.9, 0.95, 1.0), profile, 0) == 0.9
+
+    def test_shape_mismatch_raises(self, threshold_profile):
+        offer = ServiceOffer(
+            service_id="cs1",
+            cloud_id="c",
+            offered_topics=("location",),
+            qoc_offer={"location": (0.9,)},
+            qos_offer=(0.99,),
+        )
+        with pytest.raises(DimensionMismatch):
+            score(offer, threshold_profile, 0)
+        short_weights = simple_profile(weights=(1.0,))
+        with pytest.raises(DimensionMismatch):
+            score(make_offer("cs1", 0.9, 0.95, 0.99), short_weights, 0)
 
     def test_single_indicator_equality_boundary(self):
         catalog = IndicatorCatalog(qoc_indicators=("p1",), qos_indicators=("s1",))
@@ -196,7 +137,7 @@ class TestTopicScores:
             qos_offer=(1.0,),
         )
         assert validate_dimensions(catalog, profile, offer)
-        assert topic_scores(offer, profile).scores == (0.5,)
+        assert score(offer, profile, 0) == 0.5
 
 
 def validate_dimensions(catalog, profile, offer):
@@ -326,7 +267,7 @@ class TestOracleEquivalence:
 def feasible_tie_set(offers, profile, j):
     topic = profile.topics[j]
     candidates = [
-        (o.service_id, topic_scores(o, profile).scores[j])
+        (o.service_id, score(o, profile, j))
         for o in offers
         if qos_feasible(o, profile) and qoc_feasible(o, profile, topic)
     ]
@@ -373,8 +314,8 @@ class TestSelectionProperties:
                         row_a = a.qoc_offer[topic]
                         row_b = b.qoc_offer[topic]
                         if all(x >= y for x, y in zip(row_a, row_b)):
-                            score_a = topic_scores(a, profile).scores[j]
-                            score_b = topic_scores(b, profile).scores[j]
+                            score_a = score(a, profile, j)
+                            score_b = score(b, profile, j)
                             assert score_a >= score_b - TIE_TOLERANCE
                             checked += 1
 
@@ -400,9 +341,10 @@ class TestSelectionProperties:
             for offer in offers:
                 if not qos_feasible(offer, profile):
                     continue
-                vector = topic_scores(offer, profile)
-                for j, score in enumerate(vector.scores):
-                    assert 0.0 <= score <= sum(profile.weights[j]) + TIE_TOLERANCE
+                for j in range(len(profile.topics)):
+                    value = score(offer, profile, j)
+                    if value is not None:
+                        assert 0.0 <= value <= sum(profile.weights[j]) + TIE_TOLERANCE
 
 
 class TestMultiCloud:

@@ -8,6 +8,7 @@ import json
 import random
 import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -21,12 +22,20 @@ from ctxbroker.service import (
     BrokerService,
     ServiceConfig,
     SnapshotError,
+    _Handler,
     load_snapshot,
     save_snapshot,
     serve,
 )
-from ctxbroker.sim import _SimEndpoints
-from ctxbroker.wire import MAX_BODY_BYTES, WireClient, WireError, make_envelope, push_notification
+from ctxbroker.sim import _SimEndpoints, _SimEndpointsHandler
+from ctxbroker.wire import (
+    MAX_BODY_BYTES,
+    READ_TIMEOUT_S,
+    WireClient,
+    WireError,
+    make_envelope,
+    push_notification,
+)
 
 from conftest import make_offer
 from helpers import RecordingTransport, random_profile
@@ -375,6 +384,26 @@ class TestHttpEndpoints:
         answer = raw_exchange(handle.port, head.encode())
         assert answer.startswith(b"HTTP/1.1 400 ")
         assert b'"BAD_REQUEST"' in answer
+
+    def test_short_body_times_out_and_frees_the_handler(self, running, monkeypatch):
+        assert _Handler.timeout == READ_TIMEOUT_S
+        monkeypatch.setattr(_Handler, "timeout", 0.3)
+        handle, _ = running
+        head = b'POST /subscriptions HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n{"kind"'
+        started = time.monotonic()
+        assert raw_exchange(handle.port, head, timeout=2.0) == b""
+        assert time.monotonic() - started < 2.0
+        status, payload = http_json("GET", f"{handle.base_url}/topics/location/services")
+        assert (status, payload["kind"]) == (200, "ack")
+
+    def test_sim_endpoint_short_body_times_out(self, endpoints, monkeypatch):
+        assert _SimEndpointsHandler.timeout == READ_TIMEOUT_S
+        monkeypatch.setattr(_SimEndpointsHandler, "timeout", 0.3)
+        port = endpoints.server.server_address[1]
+        head = b"POST /consumers/c1 HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n{}"
+        started = time.monotonic()
+        assert raw_exchange(port, head, timeout=2.0) == b""
+        assert time.monotonic() - started < 2.0
 
     def test_drain_then_get_on_one_connection(self, running):
         handle, _ = running
