@@ -480,7 +480,8 @@ class ContextBroker:
         """Rebuild registries from a snapshot taken by :meth:`snapshot_state`.
 
         Must be called on a fresh broker. Decisions are recomputed from
-        the restored offers; revisions are restored as persisted.
+        the restored offers; revisions are restored as persisted. An offer
+        or profile that does not fit the catalog raises ValueError.
         """
         with self._lock:
             if self._subscriptions or self._registrations:
@@ -490,6 +491,9 @@ class ContextBroker:
             self._seq = int(state["seq"])
             for entry in state["registrations"]:
                 offer = ServiceOffer.from_dict(entry["offer"])
+                result = validate_offer(offer, self.catalog)
+                if not result:
+                    raise ValueError(f"offer {offer.service_id!r}: {result.reason}")
                 reg = Registration(
                     registration_id=entry["registration_id"],
                     offer=offer,
@@ -500,6 +504,9 @@ class ContextBroker:
                 self._service_registration[offer.service_id] = reg.registration_id
             for entry in state["subscriptions"]:
                 profile = RequirementProfile.from_dict(entry["profile"])
+                result = validate_profile(profile, self.catalog)
+                if not result:
+                    raise ValueError(f"profile of {entry['subscription_id']!r}: {result.reason}")
                 sub = Subscription(
                     subscription_id=entry["subscription_id"],
                     consumer_id=entry["consumer_id"],

@@ -95,7 +95,12 @@ class BrokerService:
         if config.persist_path is not None:
             state = load_snapshot(config.persist_path)
             if state is not None:
-                self.broker.restore_state(state)
+                try:
+                    self.broker.restore_state(state)
+                except (KeyError, TypeError, ValueError) as exc:
+                    self.broker.close()
+                    raise SnapshotError(
+                        f"snapshot file {config.persist_path} does not fit: {exc!r}") from exc
 
     # -- envelope routing -------------------------------------------------
 
@@ -156,15 +161,9 @@ class BrokerService:
 
 
 class Route(NamedTuple):
-    """How one envelope kind arrives over HTTP and what it does to the broker.
+    """What one envelope kind does to the broker; ``wire.PATHS`` says how
+    it arrives over HTTP. A mutating route is persisted before its ack."""
 
-    POST routes carry the envelope as their body. GET and DELETE routes
-    carry no body: the path's named groups, named after body keys, are it.
-    A mutating route is persisted before its ack.
-    """
-
-    verb: str
-    path: re.Pattern[str]
     handler: Callable[[ContextBroker, dict[str, Any]], dict[str, Any]]
     mutates: bool = False
 
@@ -211,33 +210,35 @@ def _drain(broker: ContextBroker, body: dict[str, Any]) -> dict[str, Any]:
     return {}
 
 
-_SUB = r"/subscriptions/(?P<subscription_id>[^/]+)"
-_TOPIC = r"/topics/(?P<topic>[^/]+)"
-
 ROUTES: dict[str, Route] = {
-    "subscribe": Route("POST", re.compile("/subscriptions"), _subscribe, mutates=True),
-    "unsubscribe": Route("DELETE", re.compile(_SUB), _unsubscribe, mutates=True),
-    "register": Route("POST", re.compile("/registrations"), _register, mutates=True),
-    "deregister": Route("DELETE", re.compile(r"/registrations/(?P<registration_id>[^/]+)"),
-                        _deregister, mutates=True),
-    "notify": Route("POST", re.compile("/notify"), _notify),
-    "pull-current": Route("GET", re.compile(_SUB + _TOPIC + "/current"), _pull_current),
-    "pull-last": Route("GET", re.compile(_SUB + _TOPIC + "/last"), _pull_last),
-    "decision": Route("GET", re.compile(_SUB + "/decision"), lambda broker, body: {
+    "subscribe": Route(_subscribe, mutates=True),
+    "unsubscribe": Route(_unsubscribe, mutates=True),
+    "register": Route(_register, mutates=True),
+    "deregister": Route(_deregister, mutates=True),
+    "notify": Route(_notify),
+    "pull-current": Route(_pull_current),
+    "pull-last": Route(_pull_last),
+    "decision": Route(lambda broker, body: {
         "decision": broker.get_decision(body["subscription_id"]).to_dict()}),
-    "find-services": Route("GET", re.compile(_TOPIC + "/services"), lambda broker, body: {
+    "find-services": Route(lambda broker, body: {
         "service_ids": broker.find_context_services(body["topic"])}),
-    "find-consumers": Route("GET", re.compile(_TOPIC + "/consumers"), lambda broker, body: {
+    "find-consumers": Route(lambda broker, body: {
         "subscription_ids": broker.find_context_consumers(body["topic"])}),
-    "drain": Route("POST", re.compile("/debug/drain"), _drain),
+    "drain": Route(_drain),
 }
+
+# wire.PATHS compiled once: each {name} of a template matches one path segment.
+_PATTERNS = [
+    (kind, verb, re.compile(re.sub(r"\{(\w+)\}", r"(?P<\1>[^/]+)", template)))
+    for kind, (verb, template) in wire.PATHS.items()
+]
 
 
 def _match(verb: str, path: str) -> tuple[str, dict[str, str]]:
     """The kind whose route serves ``verb path``, with the path's groups unquoted."""
-    for kind, route in ROUTES.items():
-        match = route.path.fullmatch(path)
-        if match and route.verb == verb:
+    for kind, route_verb, pattern in _PATTERNS:
+        match = pattern.fullmatch(path)
+        if match and route_verb == verb:
             return kind, {k: urllib.parse.unquote(v) for k, v in match.groupdict().items()}
     raise errors.NotFound(f"no route for {verb} {path}")
 
@@ -327,8 +328,8 @@ def serve(
     """Start the broker service on the configured address.
 
     State is restored from the persistence file when one exists; a
-    corrupt file refuses startup with a SnapshotError naming it. A busy
-    port raises OSError.
+    corrupt file, or one that does not fit the catalog, refuses startup
+    with a SnapshotError naming it. A busy port raises OSError.
     """
     logging.getLogger("ctxbroker").setLevel(
         getattr(logging, config.log_level.upper(), logging.INFO)

@@ -2,9 +2,11 @@
 
 A scenario scripts simulated context services (with declared quality
 offers), consumers (with requirement profiles) and a timeline of
-register/subscribe/publish/pull events against a virtual clock. The same
-scenario can run against an in-process broker or against a spawned
-broker service over loopback HTTP; both produce the same run report.
+register/subscribe/publish/pull events against a virtual clock. The
+runner turns each event into the same request envelopes in both modes:
+in process it hands them to ``BrokerService.handle_request``, over the
+wire it sends them to a spawned broker service on loopback HTTP. Both
+produce the same run report.
 
 Simulated services embed their aggregator: a publish event sets the
 service's current topic value and immediately notifies the broker.
@@ -13,6 +15,7 @@ Quality levels come from the declared offers only, never from payloads.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import random
@@ -22,12 +25,12 @@ import urllib.parse
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from . import errors, wire
-from .broker import ContextBroker, DeliveryStatus, RetryPolicy
-from .model import ContextSample, IndicatorCatalog, RequirementProfile, ServiceOffer
-from .service import ServiceConfig, serve
+from .broker import DeliveryStatus, RetryPolicy
+from .model import IndicatorCatalog, RequirementProfile, ServiceOffer
+from .service import BrokerService, ServiceConfig, serve
 
 log = logging.getLogger(__name__)
 
@@ -353,30 +356,6 @@ class _SimService:
             return sample
 
 
-class LocalTransport:
-    """In-process transport: direct calls on simulated endpoints."""
-
-    def __init__(self) -> None:
-        self.consumers: dict[str, _SimConsumer] = {}
-        self.services: dict[str, _SimService] = {}
-
-    def push(self, callback_address: str, message: dict[str, Any]) -> DeliveryStatus:
-        consumer = self.consumers.get(callback_address)
-        if consumer is None:
-            return DeliveryStatus(delivered=False, attempts=1)
-        consumer.receive(message)
-        return DeliveryStatus(delivered=True, attempts=1)
-
-    def pull(self, service_address: str, topic: str) -> dict[str, Any]:
-        service = self.services.get(service_address)
-        sample = service.pull(topic) if service is not None else None
-        if sample is None:
-            raise errors.UpstreamUnavailable(
-                f"service at {service_address!r} has no value for {topic!r}"
-            )
-        return sample
-
-
 class _SimEndpointsHandler(BaseHTTPRequestHandler):
     hub: "_SimEndpoints"
 
@@ -415,11 +394,43 @@ class _SimEndpointsHandler(BaseHTTPRequestHandler):
 
 
 class _SimEndpoints:
-    """One loopback HTTP server hosting all simulated consumers and services."""
+    """The simulated consumers and services of a run, by id.
 
-    def __init__(self) -> None:
-        self.consumers: dict[str, _SimConsumer] = {}
-        self.services: dict[str, _SimService] = {}
+    Each has an address under ``base_url``. In process the broker reaches
+    them through this object as its Transport; listen() serves the same
+    addresses over loopback HTTP instead.
+    """
+
+    def __init__(self, scenario: Scenario | None = None) -> None:
+        consumers = [consumer_id for consumer_id, _ in scenario.consumers] if scenario else []
+        services = list(scenario.offers_by_service()) if scenario else []
+        self.consumers = {consumer_id: _SimConsumer() for consumer_id in consumers}
+        self.services = {service_id: _SimService() for service_id in services}
+        self.base_url = "local:"
+        self.server: ThreadingHTTPServer | None = None
+
+    def consumer(self, consumer_id: str) -> str:
+        return f"{self.base_url}/consumers/{consumer_id}"
+
+    def service(self, service_id: str) -> str:
+        return f"{self.base_url}/services/{service_id}"
+
+    def push(self, callback_address: str, message: dict[str, Any]) -> DeliveryStatus:
+        consumer = self.consumers.get(callback_address.removeprefix(self.consumer("")))
+        if consumer is not None:
+            consumer.receive(message)
+        return DeliveryStatus(delivered=consumer is not None, attempts=1)
+
+    def pull(self, service_address: str, topic: str) -> dict[str, Any]:
+        service = self.services.get(service_address.removeprefix(self.service("")))
+        sample = service.pull(topic) if service is not None else None
+        if sample is None:
+            raise errors.UpstreamUnavailable(
+                f"service at {service_address!r} has no value for {topic!r}"
+            )
+        return sample
+
+    def listen(self) -> None:
         handler = type("BoundSimHandler", (_SimEndpointsHandler,), {"hub": self})
         self.server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         self.server.daemon_threads = True
@@ -429,178 +440,57 @@ class _SimEndpoints:
         self.base_url = f"http://{host}:{port}"
 
     def stop(self) -> None:
-        self.server.shutdown()
-        self.server.server_close()
-        self.thread.join(timeout=5.0)
+        if self.server is not None:
+            self.server.shutdown()
+            self.server.server_close()
+            self.thread.join(timeout=5.0)
 
 
 # -- runner -----------------------------------------------------------------
 
 
-class _InProcessPort:
-    """Drives a broker object directly, with simulated local endpoints."""
+class _Clock:
+    """The scenario's virtual time, read by an in-process broker."""
 
-    def __init__(self, scenario: Scenario) -> None:
-        self.now = 0
-        self.transport = LocalTransport()
-        self.broker = ContextBroker(
-            scenario.catalog, transport=self.transport, clock=lambda: self.now
-        )
-        for consumer_id, _ in scenario.consumers:
-            self.transport.consumers[self._callback(consumer_id)] = _SimConsumer()
-        for service_id in scenario.offers_by_service():
-            self.transport.services[self._address(service_id)] = _SimService()
+    now = 0
 
-    @staticmethod
-    def _callback(consumer_id: str) -> str:
-        return f"local:consumer:{consumer_id}"
-
-    @staticmethod
-    def _address(service_id: str) -> str:
-        return f"local:service:{service_id}"
-
-    def set_clock(self, at: int) -> None:
-        self.now = at
-
-    def subscribe(self, consumer_id: str, profile: RequirementProfile) -> str:
-        return self.broker.subscribe(consumer_id, profile, self._callback(consumer_id))
-
-    def unsubscribe(self, subscription_id: str) -> None:
-        self.broker.unsubscribe(subscription_id)
-
-    def register(self, offer: ServiceOffer) -> str:
-        return self.broker.register_context_service(offer, self._address(offer.service_id))
-
-    def deregister(self, registration_id: str) -> None:
-        self.broker.deregister_context_service(registration_id)
-
-    def set_service_value(self, service_id: str, sample: dict[str, Any]) -> None:
-        self.transport.services[self._address(service_id)].set_value(sample)
-
-    def notify(self, service_id: str, sample: dict[str, Any]) -> None:
-        self.broker.notify_context_change(service_id, ContextSample.from_dict(sample))
-
-    def pull_current(self, subscription_id: str, topic: str) -> str | None:
-        try:
-            self.broker.get_current_topic_value(subscription_id, topic)
-            return None
-        except errors.BrokerError as exc:
-            return exc.code
-
-    def pull_last(self, subscription_id: str, topic: str) -> dict[str, Any] | None:
-        try:
-            return self.broker.get_last_topic_value(subscription_id, topic).to_dict()
-        except errors.BrokerError:
-            return None
-
-    def decision(self, subscription_id: str) -> dict[str, Any]:
-        return self.broker.get_decision(subscription_id).to_dict()
-
-    def drain(self) -> None:
-        self.broker.drain()
-
-    def consumer_messages(self, consumer_id: str) -> list[dict[str, Any]]:
-        return self.transport.consumers[self._callback(consumer_id)].messages()
-
-    def service_pulls(self, service_id: str) -> int:
-        return self.transport.services[self._address(service_id)].pulls
-
-    def stop(self) -> None:
-        self.broker.close()
-
-
-class _WirePort:
-    """Drives a spawned broker service over loopback HTTP."""
-
-    def __init__(self, scenario: Scenario) -> None:
-        self.endpoints = _SimEndpoints()
-        for consumer_id, _ in scenario.consumers:
-            self.endpoints.consumers[consumer_id] = _SimConsumer()
-        for service_id in scenario.offers_by_service():
-            self.endpoints.services[service_id] = _SimService()
-        config = ServiceConfig(
-            catalog=scenario.catalog,
-            listen="127.0.0.1:0",
-            retry=RetryPolicy(attempts=3, backoff_initial=0.05),
-        )
-        self.handle = serve(config)
-        self.client = wire.WireClient(self.handle.base_url)
-
-    def _callback(self, consumer_id: str) -> str:
-        return f"{self.endpoints.base_url}/consumers/{consumer_id}"
-
-    def _address(self, service_id: str) -> str:
-        return f"{self.endpoints.base_url}/services/{service_id}"
-
-    def set_clock(self, at: int) -> None:
-        pass  # the remote broker keeps wall time; reports never compare clocks
-
-    def subscribe(self, consumer_id: str, profile: RequirementProfile) -> str:
-        return self.client.subscribe(consumer_id, profile.to_dict(), self._callback(consumer_id))
-
-    def unsubscribe(self, subscription_id: str) -> None:
-        self.client.unsubscribe(subscription_id)
-
-    def register(self, offer: ServiceOffer) -> str:
-        return self.client.register(offer.to_dict(), self._address(offer.service_id))
-
-    def deregister(self, registration_id: str) -> None:
-        self.client.deregister(registration_id)
-
-    def set_service_value(self, service_id: str, sample: dict[str, Any]) -> None:
-        self.endpoints.services[service_id].set_value(sample)
-
-    def notify(self, service_id: str, sample: dict[str, Any]) -> None:
-        self.client.notify(service_id, sample)
-
-    def pull_current(self, subscription_id: str, topic: str) -> str | None:
-        try:
-            self.client.pull_current(subscription_id, topic)
-            return None
-        except wire.WireError as exc:
-            return exc.code
-
-    def pull_last(self, subscription_id: str, topic: str) -> dict[str, Any] | None:
-        try:
-            return self.client.pull_last(subscription_id, topic)
-        except wire.WireError:
-            return None
-
-    def decision(self, subscription_id: str) -> dict[str, Any]:
-        return self.client.decision(subscription_id)
-
-    def drain(self) -> None:
-        self.client.drain()
-
-    def consumer_messages(self, consumer_id: str) -> list[dict[str, Any]]:
-        return self.endpoints.consumers[consumer_id].messages()
-
-    def service_pulls(self, service_id: str) -> int:
-        return self.endpoints.services[service_id].pulls
-
-    def stop(self) -> None:
-        self.handle.stop()
-        self.endpoints.stop()
+    def __call__(self) -> int:
+        return self.now
 
 
 def run(scenario: Scenario, mode: str = "in-process") -> RunReport:
     """Execute a scenario and report exact selection/delivery counts.
 
-    ``mode`` is "in-process" or "over-wire"; both yield the same report
-    for the same scenario (meta excluded).
+    ``mode`` is "in-process" or "over-wire". Both send the same request
+    envelopes: in process straight to ``BrokerService.handle_request``,
+    over the wire through a spawned broker service on loopback. Both
+    yield the same report for the same scenario (meta excluded).
     """
     validate_scenario(scenario)
-    if mode == "in-process":
-        port: Any = _InProcessPort(scenario)
-    elif mode == "over-wire":
-        port = _WirePort(scenario)
-    else:
+    if mode not in ("in-process", "over-wire"):
         raise ValueError(f"unknown mode {mode!r}")
+    endpoints = _SimEndpoints(scenario)
+    clock = _Clock()
     started = time.monotonic()
-    try:
-        report = _execute(scenario, port)
-    finally:
-        port.stop()
+    with contextlib.ExitStack() as stack:
+        stack.callback(endpoints.stop)
+        if mode == "in-process":
+            service = BrokerService(ServiceConfig(scenario.catalog), transport=endpoints, clock=clock)
+            stack.callback(service.close)
+
+            def send(kind: str, body: dict[str, Any]) -> dict[str, Any]:
+                response = service.handle_request(wire.make_envelope(kind, body))
+                if response["kind"] == "error":
+                    raise wire.WireError(response)
+                return response["body"]
+        else:
+            endpoints.listen()
+            config = ServiceConfig(
+                catalog=scenario.catalog,
+                retry=RetryPolicy(attempts=3, backoff_initial=0.05),
+            )
+            send = wire.WireClient(stack.enter_context(serve(config)).base_url).request
+        report = _execute(scenario, endpoints, send, clock)
     report.meta = {
         "mode": mode,
         "seed": scenario.seed,
@@ -609,7 +499,14 @@ def run(scenario: Scenario, mode: str = "in-process") -> RunReport:
     return report
 
 
-def _execute(scenario: Scenario, port: Any) -> RunReport:
+def _execute(
+    scenario: Scenario,
+    endpoints: _SimEndpoints,
+    send: Callable[[str, dict[str, Any]], dict[str, Any]],
+    clock: _Clock,
+) -> RunReport:
+    """Play the timeline through ``send(kind, body) -> ack body``; an error
+    answer raises WireError."""
     offers = scenario.offers_by_service()
     profiles = scenario.profiles_by_consumer()
     registrations: dict[str, str] = {}
@@ -621,27 +518,32 @@ def _execute(scenario: Scenario, port: Any) -> RunReport:
 
     def sample_decisions() -> None:
         for consumer_id, subscription_id in subscriptions.items():
-            decision = port.decision(subscription_id)
+            decision = send("decision", {"subscription_id": subscription_id})["decision"]
             for topic, selected in zip(decision["topics"], decision["selected"]):
                 history = histories.setdefault((consumer_id, topic), [])
                 if not history or history[-1] != selected:
                     history.append(selected)
 
     for event in scenario.timeline:
-        port.set_clock(event.at)
+        clock.now = event.at
         if event.action == "register":
-            registrations[event.service_id] = port.register(offers[event.service_id])
+            registrations[event.service_id] = send("register", {
+                "offer": offers[event.service_id].to_dict(),
+                "service_address": endpoints.service(event.service_id),
+            })["registration_id"]
             sample_decisions()
         elif event.action == "deregister":
-            port.deregister(registrations.pop(event.service_id))
+            send("deregister", {"registration_id": registrations.pop(event.service_id)})
             sample_decisions()
         elif event.action == "subscribe":
-            subscriptions[event.consumer_id] = port.subscribe(
-                event.consumer_id, profiles[event.consumer_id]
-            )
+            subscriptions[event.consumer_id] = send("subscribe", {
+                "consumer_id": event.consumer_id,
+                "profile": profiles[event.consumer_id].to_dict(),
+                "callback_address": endpoints.consumer(event.consumer_id),
+            })["subscription_id"]
             sample_decisions()
         elif event.action == "unsubscribe":
-            port.unsubscribe(subscriptions.pop(event.consumer_id))
+            send("unsubscribe", {"subscription_id": subscriptions.pop(event.consumer_id)})
         elif event.action == "publish":
             sample = {
                 "topic": event.topic,
@@ -649,21 +551,26 @@ def _execute(scenario: Scenario, port: Any) -> RunReport:
                 "produced_at": event.at,
                 "service_id": event.service_id,
             }
-            port.set_service_value(event.service_id, sample)
-            port.notify(event.service_id, sample)
+            endpoints.services[event.service_id].set_value(sample)
+            send("notify", {"service_id": event.service_id, "sample": sample})
             publications[event.service_id] += 1
         elif event.action == "pull":
-            code = port.pull_current(subscriptions[event.consumer_id], event.topic)
-            if code is None:
+            try:
+                send("pull-current", {
+                    "subscription_id": subscriptions[event.consumer_id], "topic": event.topic})
                 pulls_ok += 1
-            else:
-                pull_errors[code] = pull_errors.get(code, 0) + 1
-        port.drain()
+            except wire.WireError as exc:
+                pull_errors[exc.code] = pull_errors.get(exc.code, 0) + 1
+        send("drain", {})
 
     last_values: dict[tuple[str, str], Any] = {}
     for consumer_id, subscription_id in subscriptions.items():
         for topic in profiles[consumer_id].topics:
-            sample = port.pull_last(subscription_id, topic)
+            try:
+                sample = send("pull-last", {"subscription_id": subscription_id, "topic": topic})[
+                    "sample"]
+            except wire.WireError:
+                sample = None
             last_values[(consumer_id, topic)] = (
                 [sample["service_id"], sample["payload"]] if sample else None
             )
@@ -674,7 +581,7 @@ def _execute(scenario: Scenario, port: Any) -> RunReport:
     for consumer_id, profile in scenario.consumers:
         received: dict[str, list[list[Any]]] = {t: [] for t in profile.topics}
         advisories: list[list[str]] = []
-        for message in port.consumer_messages(consumer_id):
+        for message in endpoints.consumers[consumer_id].messages():
             body = message.get("body", {})
             if message.get("kind") == "notify":
                 sample = body["sample"]
@@ -696,7 +603,7 @@ def _execute(scenario: Scenario, port: Any) -> RunReport:
         consumers_report[consumer_id] = {"advisories": advisories, "topics": topics_report}
 
     services_report = {
-        service_id: {"publications": publications[service_id], "pulls": port.service_pulls(service_id)}
+        service_id: {"publications": publications[service_id], "pulls": endpoints.services[service_id].pulls}
         for service_id in offers
     }
     totals = {

@@ -32,6 +32,22 @@ MAX_BODY_BYTES = 1 << 20
 # between keep-alive requests, before it drops the connection.
 READ_TIMEOUT_S = 10.0
 
+# How each request kind travels over HTTP: verb and path template. A
+# template's {fields} are body keys; a POST carries the envelope instead.
+PATHS: dict[str, tuple[str, str]] = {
+    "subscribe": ("POST", "/subscriptions"),
+    "unsubscribe": ("DELETE", "/subscriptions/{subscription_id}"),
+    "register": ("POST", "/registrations"),
+    "deregister": ("DELETE", "/registrations/{registration_id}"),
+    "notify": ("POST", "/notify"),
+    "pull-current": ("GET", "/subscriptions/{subscription_id}/topics/{topic}/current"),
+    "pull-last": ("GET", "/subscriptions/{subscription_id}/topics/{topic}/last"),
+    "decision": ("GET", "/subscriptions/{subscription_id}/decision"),
+    "find-services": ("GET", "/topics/{topic}/services"),
+    "find-consumers": ("GET", "/topics/{topic}/consumers"),
+    "drain": ("POST", "/debug/drain"),
+}
+
 
 def make_envelope(kind: str, body: dict[str, Any], request_id: str | None = None) -> dict[str, Any]:
     return {
@@ -125,8 +141,10 @@ def push_notification(
 ) -> DeliveryStatus:
     """POST a push envelope to a consumer callback URL, with bounded retry.
 
-    Returns a status instead of raising: exhausted retries mean the
-    message is dropped (and logged) rather than redelivered later.
+    Connection failures and other answers are retried, but a 4xx answer
+    drops the message at once. Returns a status instead of raising:
+    exhausted retries mean the message is dropped (and logged) rather
+    than redelivered later.
     """
     policy = retry if retry is not None else RetryPolicy()
     for attempt in range(1, policy.attempts + 1):
@@ -139,6 +157,8 @@ def push_notification(
             continue
         if 200 <= status < 300:
             return DeliveryStatus(delivered=True, attempts=attempt)
+        if 400 <= status < 500:
+            return DeliveryStatus(delivered=False, attempts=attempt)
     return DeliveryStatus(delivered=False, attempts=policy.attempts)
 
 
@@ -190,8 +210,6 @@ class WireClient:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
 
-    # -- raw exchange ---------------------------------------------------
-
     def exchange(
         self, method: str, path: str, envelope: dict[str, Any] | None = None
     ) -> dict[str, Any]:
@@ -201,66 +219,20 @@ class WireClient:
             raise WireError(response)
         return response
 
-    # -- typed helpers --------------------------------------------------
-
-    def subscribe(
-        self, consumer_id: str, profile: dict[str, Any], callback_address: str
-    ) -> str:
-        envelope = make_envelope(
-            "subscribe",
-            {
-                "consumer_id": consumer_id,
-                "profile": profile,
-                "callback_address": callback_address,
-            },
-        )
-        response = self.exchange("POST", "/subscriptions", envelope)
-        return response["body"]["subscription_id"]
-
-    def unsubscribe(self, subscription_id: str) -> None:
-        self.exchange("DELETE", f"/subscriptions/{subscription_id}")
-
-    def register(self, offer: dict[str, Any], service_address: str) -> str:
-        envelope = make_envelope(
-            "register", {"offer": offer, "service_address": service_address}
-        )
-        response = self.exchange("POST", "/registrations", envelope)
-        return response["body"]["registration_id"]
-
-    def deregister(self, registration_id: str) -> None:
-        self.exchange("DELETE", f"/registrations/{registration_id}")
-
-    def notify(self, service_id: str, sample: dict[str, Any]) -> None:
-        envelope = make_envelope("notify", {"service_id": service_id, "sample": sample})
-        self.exchange("POST", "/notify", envelope)
-
-    def pull_current(self, subscription_id: str, topic: str) -> dict[str, Any]:
-        response = self.exchange(
-            "GET", f"/subscriptions/{subscription_id}/topics/{_quote(topic)}/current"
-        )
-        return response["body"]["sample"]
-
-    def pull_last(self, subscription_id: str, topic: str) -> dict[str, Any]:
-        response = self.exchange(
-            "GET", f"/subscriptions/{subscription_id}/topics/{_quote(topic)}/last"
-        )
-        return response["body"]["sample"]
+    def request(
+        self, kind: str, body: dict[str, Any], request_id: str | None = None
+    ) -> dict[str, Any]:
+        """Send one request of ``kind`` the way ``PATHS`` routes it; return
+        the ack body. A POST carries the envelope; a GET or DELETE puts the
+        body's values into the path."""
+        verb, template = PATHS[kind]
+        if verb == "POST":
+            return self.exchange(verb, template, make_envelope(kind, body, request_id))["body"]
+        path = template.format_map(
+            {key: urllib.parse.quote(str(value), safe="") for key, value in body.items()})
+        if request_id is not None:
+            path += "?request_id=" + urllib.parse.quote(request_id, safe="")
+        return self.exchange(verb, path)["body"]
 
     def find_services(self, topic: str) -> list[str]:
-        response = self.exchange("GET", f"/topics/{_quote(topic)}/services")
-        return response["body"]["service_ids"]
-
-    def find_consumers(self, topic: str) -> list[str]:
-        response = self.exchange("GET", f"/topics/{_quote(topic)}/consumers")
-        return response["body"]["subscription_ids"]
-
-    def decision(self, subscription_id: str) -> dict[str, Any]:
-        response = self.exchange("GET", f"/subscriptions/{subscription_id}/decision")
-        return response["body"]["decision"]
-
-    def drain(self) -> None:
-        self.exchange("POST", "/debug/drain", make_envelope("drain", {}))
-
-
-def _quote(topic: str) -> str:
-    return urllib.parse.quote(topic, safe="")
+        return self.request("find-services", {"topic": topic})["service_ids"]

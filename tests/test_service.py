@@ -16,7 +16,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from ctxbroker.broker import RetryPolicy
-from ctxbroker.model import IndicatorCatalog
+from ctxbroker.model import IndicatorCatalog, RequirementProfile, ServiceOffer
 from ctxbroker.service import (
     ROUTES,
     BrokerService,
@@ -30,6 +30,7 @@ from ctxbroker.service import (
 from ctxbroker.sim import _SimEndpoints, _SimEndpointsHandler
 from ctxbroker.wire import (
     MAX_BODY_BYTES,
+    PATHS,
     READ_TIMEOUT_S,
     WireClient,
     WireError,
@@ -76,6 +77,7 @@ def raw_exchange(port, data, timeout=1.5):
 @pytest.fixture
 def endpoints():
     hub = _SimEndpoints()
+    hub.listen()
     yield hub
     hub.stop()
 
@@ -201,6 +203,7 @@ class TestEnvelopeRouting:
 
 class _FlakyHandler(BaseHTTPRequestHandler):
     failures_left: int
+    status: int
     hits: list
 
     def do_POST(self):
@@ -210,7 +213,7 @@ class _FlakyHandler(BaseHTTPRequestHandler):
         cls.hits.append(body)
         if cls.failures_left > 0:
             cls.failures_left -= 1
-            self.send_response(500)
+            self.send_response(cls.status)
             self.end_headers()
             return
         self.send_response(200)
@@ -222,8 +225,9 @@ class _FlakyHandler(BaseHTTPRequestHandler):
         pass
 
 
-def flaky_receiver(failures):
-    handler = type("Flaky", (_FlakyHandler,), {"failures_left": failures, "hits": []})
+def flaky_receiver(failures, status=500):
+    handler = type(
+        "Flaky", (_FlakyHandler,), {"failures_left": failures, "status": status, "hits": []})
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -263,6 +267,17 @@ class TestPushNotification:
             server.shutdown()
             server.server_close()
 
+    def test_4xx_answer_is_dropped_without_retry(self):
+        server, handler, url = flaky_receiver(failures=99, status=404)
+        try:
+            status = push_notification(url, make_envelope("notify", {}), FAST_RETRY)
+            assert not status.delivered
+            assert status.attempts == 1
+            assert len(handler.hits) == 1
+        finally:
+            server.shutdown()
+            server.server_close()
+
     def test_connection_refused_is_not_delivered(self):
         import socket
 
@@ -283,7 +298,7 @@ class TestHttpEndpoints:
     def test_fresh_start_has_empty_registries(self, running):
         _, client = running
         assert client.find_services("location") == []
-        assert client.find_consumers("location") == []
+        assert client.request("find-consumers", {"topic": "location"})["subscription_ids"] == []
 
     def test_full_cycle_over_wire(self, running, endpoints, threshold_profile):
         handle, client = running
@@ -294,36 +309,41 @@ class TestHttpEndpoints:
         endpoints.consumers["app-1"] = consumer
         endpoints.services["cs-a"] = service_box
 
-        reg = client.register(
-            make_offer("cs-a", 0.9, 0.95, 0.99).to_dict(),
-            f"{endpoints.base_url}/services/cs-a",
-        )
-        sub = client.subscribe(
-            "app-1", threshold_profile.to_dict(), f"{endpoints.base_url}/consumers/app-1"
-        )
+        reg = client.request("register", {
+            "offer": make_offer("cs-a", 0.9, 0.95, 0.99).to_dict(),
+            "service_address": f"{endpoints.base_url}/services/cs-a",
+        })["registration_id"]
+        sub = client.request("subscribe", {
+            "consumer_id": "app-1",
+            "profile": threshold_profile.to_dict(),
+            "callback_address": f"{endpoints.base_url}/consumers/app-1",
+        })["subscription_id"]
         assert client.find_services("location") == ["cs-a"]
-        assert client.find_consumers("location") == [sub]
-        assert client.decision(sub)["selected"] == ["cs-a"]
+        assert client.request("find-consumers", {"topic": "location"})["subscription_ids"] == [sub]
+        assert client.request("decision", {"subscription_id": sub})["decision"]["selected"] == [
+            "cs-a"]
 
         sample = {"topic": "location", "payload": "live", "produced_at": 7, "service_id": "cs-a"}
         service_box.set_value(sample)
-        client.notify("cs-a", sample)
-        client.drain()
+        client.request("notify", {"service_id": "cs-a", "sample": sample})
+        client.request("drain", {})
         kinds = [m["kind"] for m in consumer.messages()]
         assert kinds.count("notify") == 1
 
-        pulled = client.pull_current(sub, "location")
+        pulled = client.request("pull-current", {"subscription_id": sub, "topic": "location"})[
+            "sample"]
         assert pulled["payload"] == "live"
-        assert client.pull_last(sub, "location")["payload"] == "live"
+        last = client.request("pull-last", {"subscription_id": sub, "topic": "location"})
+        assert last["sample"]["payload"] == "live"
 
-        client.unsubscribe(sub)
-        client.deregister(reg)
+        client.request("unsubscribe", {"subscription_id": sub})
+        client.request("deregister", {"registration_id": reg})
         assert client.find_services("location") == []
 
     def test_error_codes_and_http_status(self, running):
         handle, client = running
         with pytest.raises(WireError) as excinfo:
-            client.decision("sub-404")
+            client.request("decision", {"subscription_id": "sub-404"})
         assert excinfo.value.code == "NOT_FOUND"
         # Raw status check for one representative error.
         request = urllib.request.Request(handle.base_url + "/subscriptions/sub-404/decision")
@@ -336,9 +356,9 @@ class TestHttpEndpoints:
     def test_conflict_code_on_duplicate_registration(self, running):
         _, client = running
         offer = make_offer("cs-a", 0.9, 0.95, 0.99).to_dict()
-        client.register(offer, "svc://a")
+        client.request("register", {"offer": offer, "service_address": "svc://a"})
         with pytest.raises(WireError) as excinfo:
-            client.register(offer, "svc://a")
+            client.request("register", {"offer": offer, "service_address": "svc://a"})
         assert excinfo.value.code == "CONFLICT"
 
     def test_kind_path_mismatch_rejected(self, running):
@@ -368,7 +388,11 @@ class TestHttpEndpoints:
         assert payload["request_id"] == "my-req-42"
         assert payload["kind"] == "ack"
 
-        sub = client.subscribe("app-1", threshold_profile.to_dict(), "cb://app-1")
+        sub = client.request("subscribe", {
+            "consumer_id": "app-1",
+            "profile": threshold_profile.to_dict(),
+            "callback_address": "cb://app-1",
+        })["subscription_id"]
         status, payload = http_json(
             "GET", f"{handle.base_url}/subscriptions/{sub}/topics/location/last?request_id=q-7")
         assert (status, payload["request_id"]) == (404, "q-7")
@@ -451,6 +475,29 @@ class TestHttpEndpoints:
                 envelope = make_envelope(kind, {}) if verb == "POST" else None
                 http_json(verb, handle.base_url + path, envelope)
         assert kinds == list(requests)
+
+    def test_paths_and_routes_name_the_same_kinds(self):
+        assert sorted(PATHS) == sorted(ROUTES)
+
+    def test_topic_with_slash_and_space_round_trips(self, running, threshold_profile):
+        _, client = running
+        topic = "room 1/temp"
+        offer = ServiceOffer(
+            service_id="cs-a", cloud_id="cloud-a", offered_topics=(topic,),
+            qoc_offer={topic: (0.9, 0.95)}, qos_offer=(0.99,))
+        profile = RequirementProfile(
+            topics=(topic,), qoc_min=threshold_profile.qoc_min,
+            qos_min=threshold_profile.qos_min, weights=threshold_profile.weights)
+        client.request("register", {"offer": offer.to_dict(), "service_address": "svc://a"})
+        sub = client.request("subscribe", {
+            "consumer_id": "app-1", "profile": profile.to_dict(), "callback_address": "cb://a",
+        })["subscription_id"]
+        assert client.find_services(topic) == ["cs-a"]
+        assert client.request("find-consumers", {"topic": topic})["subscription_ids"] == [sub]
+        with pytest.raises(WireError) as excinfo:
+            client.request("pull-last", {"subscription_id": sub, "topic": topic}, "req-t")
+        assert excinfo.value.code == "NO_VALUE_YET"
+        assert excinfo.value.envelope["request_id"] == "req-t"
 
     def test_unexpected_failure_is_internal_500(self, threshold_catalog, threshold_profile, tmp_path):
         blocker = tmp_path / "not-a-directory"
@@ -539,6 +586,31 @@ class TestPersistence:
             BrokerService(config_for(threshold_catalog, tmp_path), transport=RecordingTransport())
         assert "state.json" in str(excinfo.value)
 
+    def test_snapshot_of_another_catalog_refuses_startup(
+        self, threshold_catalog, threshold_profile, tmp_path
+    ):
+        first = BrokerService(config_for(threshold_catalog, tmp_path), transport=RecordingTransport())
+        first.handle_request(make_envelope("register", {
+            "offer": make_offer("cs-a", 0.9, 0.95, 0.99).to_dict(), "service_address": "svc://a"}))
+        first.close()
+        wider = IndicatorCatalog(("freshness", "correctness", "coverage"), ("availability",))
+        with pytest.raises(SnapshotError) as excinfo:
+            BrokerService(config_for(wider, tmp_path), transport=RecordingTransport())
+        assert "state.json" in str(excinfo.value)
+
+    def test_malformed_snapshot_entry_refuses_startup(self, threshold_catalog, tmp_path):
+        config = config_for(threshold_catalog, tmp_path)
+        first = BrokerService(config, transport=RecordingTransport())
+        first.handle_request(make_envelope("register", {
+            "offer": make_offer("cs-a", 0.9, 0.95, 0.99).to_dict(), "service_address": "svc://a"}))
+        first.close()
+        state = load_snapshot(config.persist_path)
+        del state["registrations"][0]["offer"]["qos_offer"]
+        save_snapshot(config.persist_path, state)
+        with pytest.raises(SnapshotError) as excinfo:
+            BrokerService(config, transport=RecordingTransport())
+        assert "state.json" in str(excinfo.value)
+
     def test_snapshot_write_is_atomic_rename(self, tmp_path):
         target = tmp_path / "snap.json"
         save_snapshot(target, {"next_sub": 1, "next_reg": 1, "seq": 0,
@@ -564,9 +636,10 @@ class TestPersistence:
         def register_batch(start):
             try:
                 for k in range(start, start + 4):
-                    client.register(
-                        make_offer(f"cs-{k:03d}", 0.9, 0.95, 0.99).to_dict(), f"svc://{k}"
-                    )
+                    client.request("register", {
+                        "offer": make_offer(f"cs-{k:03d}", 0.9, 0.95, 0.99).to_dict(),
+                        "service_address": f"svc://{k}",
+                    })
             except Exception as exc:  # pragma: no cover - failure path
                 failures.append(exc)
 

@@ -8,6 +8,7 @@ import pytest
 
 from ctxbroker.model import IndicatorCatalog, RequirementProfile, ServiceOffer
 from ctxbroker.selection import oracle_select
+from ctxbroker.service import BrokerService
 from ctxbroker.sim import (
     RunReport,
     Scenario,
@@ -211,6 +212,29 @@ class TestRun:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             run(generate_random_scenario(seed=1, services=1, topics=1, events=1), mode="quantum")
+
+
+def test_in_process_run_sends_every_request_to_handle_request(monkeypatch):
+    kinds = []
+    original = BrokerService.handle_request
+
+    def counted(self, envelope):
+        kinds.append(envelope["kind"])
+        return original(self, envelope)
+
+    monkeypatch.setattr(BrokerService, "handle_request", counted)
+    scenario = generate_random_scenario(seed=21, services=4, topics=2, events=20)
+    report = run(scenario, mode="in-process")
+    actions = [event.action for event in scenario.timeline]
+    assert {"register", "subscribe", "notify", "pull-current", "pull-last", "decision",
+            "drain"} <= set(kinds)
+    assert kinds.count("drain") == len(actions)
+    assert kinds.count("notify") == actions.count("publish")
+    assert kinds.count("pull-current") == actions.count("pull")
+    for action in ("register", "deregister", "subscribe", "unsubscribe"):
+        assert kinds.count(action) == actions.count(action)
+    assert kinds.count("pull-last") == sum(
+        len(entry["topics"]) for entry in report.consumers.values())
 
 
 @pytest.mark.parametrize("seed", [31, 32])
