@@ -2,7 +2,7 @@
 scoring, a publish/subscribe wire service, and a deterministic scenario
 harness."""
 
-from .broker import ContextBroker, DeliveryStatus, Registration, RetryPolicy, Subscription
+from .broker import ContextBroker, Registration, Subscription
 from .errors import (
     BadRequest,
     BrokerError,
@@ -50,6 +50,8 @@ from .sim import (
     run,
     save_scenario,
 )
-from .wire import HttpTransport, WireClient, WireError, push_notification
+from .wire import (
+    DeliveryStatus, HttpTransport, RetryPolicy, WireClient, WireError, push_notification,
+)
 
 __version__ = "0.1.0"

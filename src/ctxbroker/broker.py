@@ -19,7 +19,6 @@ from __future__ import annotations
 import logging
 import threading
 import time
-import uuid
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol
@@ -41,27 +40,9 @@ from .selection import (
     qos_feasible,
     renegotiation_report,
 )
+from .wire import DeliveryStatus, make_envelope
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with exponential backoff for callback delivery."""
-
-    attempts: int = 3
-    backoff_initial: float = 0.1
-    backoff_multiplier: float = 2.0
-
-    def delay(self, attempt: int) -> float:
-        """Sleep before retry number ``attempt`` (counted from 1)."""
-        return self.backoff_initial * self.backoff_multiplier ** (attempt - 1)
-
-
-@dataclass(frozen=True)
-class DeliveryStatus:
-    delivered: bool
-    attempts: int
 
 
 class Transport(Protocol):
@@ -481,7 +462,8 @@ class ContextBroker:
 
         Must be called on a fresh broker. Decisions are recomputed from
         the restored offers; revisions are restored as persisted. An offer
-        or profile that does not fit the catalog raises ValueError.
+        or profile that does not fit the catalog, or a repeated service,
+        registration or subscription id, raises ValueError.
         """
         with self._lock:
             if self._subscriptions or self._registrations:
@@ -494,6 +476,9 @@ class ContextBroker:
                 result = validate_offer(offer, self.catalog)
                 if not result:
                     raise ValueError(f"offer {offer.service_id!r}: {result.reason}")
+                if (entry["registration_id"] in self._registrations
+                        or offer.service_id in self._service_registration):
+                    raise ValueError(f"service {offer.service_id!r} or its registration repeats")
                 reg = Registration(
                     registration_id=entry["registration_id"],
                     offer=offer,
@@ -507,6 +492,8 @@ class ContextBroker:
                 result = validate_profile(profile, self.catalog)
                 if not result:
                     raise ValueError(f"profile of {entry['subscription_id']!r}: {result.reason}")
+                if entry["subscription_id"] in self._subscriptions:
+                    raise ValueError(f"subscription {entry['subscription_id']!r} repeats")
                 sub = Subscription(
                     subscription_id=entry["subscription_id"],
                     consumer_id=entry["consumer_id"],
@@ -564,26 +551,12 @@ class ContextBroker:
                 self._enqueue_advisory(sub, lost)
 
     def _enqueue_notification(self, sub: Subscription, sample: ContextSample) -> None:
-        message = {
-            "kind": "notify",
-            "request_id": uuid.uuid4().hex,
-            "body": {
-                "subscription_id": sub.subscription_id,
-                "sample": sample.to_dict(),
-            },
-        }
-        self._dispatcher.enqueue(sub.callback_address, message)
+        self._dispatcher.enqueue(sub.callback_address, make_envelope(
+            "notify", {"subscription_id": sub.subscription_id, "sample": sample.to_dict()}))
 
     def _enqueue_advisory(self, sub: Subscription, topics: list[TopicId]) -> None:
-        message = {
-            "kind": "advisory",
-            "request_id": uuid.uuid4().hex,
-            "body": {
-                "subscription_id": sub.subscription_id,
-                "topics": list(topics),
-            },
-        }
-        self._dispatcher.enqueue(sub.callback_address, message)
+        self._dispatcher.enqueue(sub.callback_address, make_envelope(
+            "advisory", {"subscription_id": sub.subscription_id, "topics": list(topics)}))
 
     def _record(self, kind: str, **payload: Any) -> None:
         self._seq += 1

@@ -12,13 +12,11 @@ import threading
 from pathlib import Path
 from typing import Any, Sequence
 
-from .broker import RetryPolicy
 from .model import IndicatorCatalog, RequirementProfile, ServiceOffer, validate_offer, validate_profile
 from .selection import DecisionMatrix, build_decision_matrix
 from .service import ServiceConfig, SnapshotError, serve
-from .sim import (
-    ScenarioError, emit_report, generate_random_scenario, load_scenario, run, save_scenario, tabulate,
-)
+from .sim import emit_report, generate_random_scenario, load_scenario, run, save_scenario, tabulate
+from .wire import RetryPolicy
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -28,10 +26,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(level=getattr(logging, level_name.upper(), logging.INFO))
     try:
         return args.func(args)
-    except (ScenarioError, SnapshotError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SnapshotError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

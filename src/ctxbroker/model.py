@@ -130,17 +130,15 @@ class RequirementProfile:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RequirementProfile":
-        topics = tuple(data["topics"])
-        qoc_min = _as_matrix(data["qoc_min"])
         weights = data.get("weights")
         if weights is None:
             # Missing weights keep the raw quality ordering.
-            weights = tuple(tuple(1.0 for _ in row) for row in qoc_min)
+            weights = [[1.0 for _ in row] for row in data["qoc_min"]]
         return cls(
-            topics=topics,
-            qoc_min=qoc_min,
-            qos_min=_as_vector(data["qos_min"]),
-            weights=_as_matrix(weights),
+            topics=data["topics"],
+            qoc_min=data["qoc_min"],
+            qos_min=data["qos_min"],
+            weights=weights,
         )
 
 
@@ -182,9 +180,9 @@ class ServiceOffer:
         return cls(
             service_id=data["service_id"],
             cloud_id=data.get("cloud_id", "default"),
-            offered_topics=tuple(data["offered_topics"]),
-            qoc_offer={t: _as_vector(v) for t, v in data["qoc_offer"].items()},
-            qos_offer=_as_vector(data["qos_offer"]),
+            offered_topics=data["offered_topics"],
+            qoc_offer=data["qoc_offer"],
+            qos_offer=data["qos_offer"],
         )
 
 

@@ -12,17 +12,15 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 import threading
 import urllib.parse
 import uuid
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 from . import errors, wire
-from .broker import ContextBroker, RetryPolicy, Transport
+from .broker import ContextBroker, Transport
 from .model import ContextSample, IndicatorCatalog, RequirementProfile, ServiceOffer
 
 log = logging.getLogger(__name__)
@@ -37,7 +35,7 @@ class ServiceConfig:
     catalog: IndicatorCatalog
     listen: str = "127.0.0.1:0"
     persist_path: str | Path | None = None
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
+    retry: wire.RetryPolicy = field(default_factory=wire.RetryPolicy)
     log_level: str = "info"
 
     def host_port(self) -> tuple[str, int]:
@@ -86,21 +84,22 @@ class BrokerService:
         clock: Callable[[], int] | None = None,
     ) -> None:
         self.config = config
+        # Read before the broker starts its dispatch thread, so an
+        # unreadable file leaves nothing running behind.
+        state = None if config.persist_path is None else load_snapshot(config.persist_path)
         if transport is None:
             transport = wire.HttpTransport(retry=config.retry)
         self.broker = ContextBroker(config.catalog, transport=transport, clock=clock)
         # Serializes snapshot capture+write: concurrent mutations must not
         # interleave through the shared temp file.
         self._persist_lock = threading.Lock()
-        if config.persist_path is not None:
-            state = load_snapshot(config.persist_path)
-            if state is not None:
-                try:
-                    self.broker.restore_state(state)
-                except (KeyError, TypeError, ValueError) as exc:
-                    self.broker.close()
-                    raise SnapshotError(
-                        f"snapshot file {config.persist_path} does not fit: {exc!r}") from exc
+        if state is not None:
+            try:
+                self.broker.restore_state(state)
+            except (KeyError, TypeError, ValueError) as exc:
+                self.broker.close()
+                raise SnapshotError(
+                    f"snapshot file {config.persist_path} does not fit: {exc!r}") from exc
 
     # -- envelope routing -------------------------------------------------
 
@@ -227,49 +226,22 @@ ROUTES: dict[str, Route] = {
     "drain": Route(_drain),
 }
 
-# wire.PATHS compiled once: each {name} of a template matches one path segment.
-_PATTERNS = [
-    (kind, verb, re.compile(re.sub(r"\{(\w+)\}", r"(?P<\1>[^/]+)", template)))
-    for kind, (verb, template) in wire.PATHS.items()
-]
-
-
-def _match(verb: str, path: str) -> tuple[str, dict[str, str]]:
-    """The kind whose route serves ``verb path``, with the path's groups unquoted."""
-    for kind, route_verb, pattern in _PATTERNS:
-        match = pattern.fullmatch(path)
-        if match and route_verb == verb:
-            return kind, {k: urllib.parse.unquote(v) for k, v in match.groupdict().items()}
-    raise errors.NotFound(f"no route for {verb} {path}")
-
-
-def _decode(raw: bytes) -> Any:
-    """The JSON document in a request body; None when empty or unparseable."""
-    try:
-        return json.loads(raw.decode("utf-8")) if raw else None
-    except ValueError:
-        return None
-
-
-class _Handler(BaseHTTPRequestHandler):
-    service: BrokerService  # injected by serve()
-
-    protocol_version = "HTTP/1.1"
-    timeout = wire.READ_TIMEOUT_S
+class _Handler(wire.JsonHandler):
+    server: "ServiceHandle"
 
     def _dispatch(self) -> None:
         parsed = urllib.parse.urlparse(self.path)
         envelope: Any = None
         try:
             if self.command == "POST":
-                envelope = _decode(wire.read_body(self))
-            kind, groups = _match(self.command, parsed.path)
+                envelope = wire.decode(wire.read_body(self))
+            kind, fields = wire.match(wire.PATHS, self.command, parsed.path)
             if self.command != "POST":
-                envelope = wire.make_envelope(kind, groups, self._request_id(parsed))
+                envelope = wire.make_envelope(kind, fields, self._request_id(parsed))
             elif isinstance(envelope, dict) and envelope.get("kind") != kind:
                 raise errors.BadRequest(
                     f"endpoint expects kind {kind!r}, got {envelope.get('kind')!r}")
-            response = self.service.handle_request(envelope)
+            response = self.server.service.handle_request(envelope)
         except errors.BrokerError as exc:
             request_id = envelope.get("request_id") if isinstance(envelope, dict) else None
             response = wire.error_envelope(str(request_id or self._request_id(parsed)), exc)
@@ -289,35 +261,17 @@ class _Handler(BaseHTTPRequestHandler):
             return query[0]
         return uuid.uuid4().hex
 
-    def log_message(self, format: str, *args: Any) -> None:
-        log.debug("%s - %s", self.address_string(), format % args)
 
-
-@dataclass
-class ServiceHandle:
+class ServiceHandle(wire.Server):
     """A running broker service; stop() shuts down the listener and broker."""
 
-    service: BrokerService
-    server: ThreadingHTTPServer
-    thread: threading.Thread
-    host: str
-    port: int
-
-    @property
-    def base_url(self) -> str:
-        return f"http://{self.host}:{self.port}"
+    def __init__(self, service: BrokerService, host: str, port: int) -> None:
+        self.service = service  # set first: requests are answered from the next line on
+        super().__init__(host, port, _Handler)
 
     def stop(self) -> None:
-        self.server.shutdown()
-        self.server.server_close()
-        self.thread.join(timeout=5.0)
+        super().stop()
         self.service.close()
-
-    def __enter__(self) -> "ServiceHandle":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
 
 
 def serve(
@@ -334,19 +288,10 @@ def serve(
     logging.getLogger("ctxbroker").setLevel(
         getattr(logging, config.log_level.upper(), logging.INFO)
     )
-    service = BrokerService(config, transport=transport, clock=clock)
     host, port = config.host_port()
-    handler = type("BoundHandler", (_Handler,), {"service": service})
+    service = BrokerService(config, transport=transport, clock=clock)
     try:
-        server = ThreadingHTTPServer((host, port), handler)
+        return ServiceHandle(service, host, port)
     except OSError:
         service.close()
         raise
-    server.daemon_threads = True
-    thread = threading.Thread(target=server.serve_forever, name="ctxbroker-http", daemon=True)
-    thread.start()
-    bound_host, bound_port = server.server_address[:2]
-    return ServiceHandle(
-        service=service, server=server, thread=thread,
-        host=str(bound_host), port=int(bound_port),
-    )

@@ -17,22 +17,17 @@ from __future__ import annotations
 
 import contextlib
 import json
-import logging
 import random
 import threading
 import time
 import urllib.parse
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Callable
 
 from . import errors, wire
-from .broker import DeliveryStatus, RetryPolicy
 from .model import IndicatorCatalog, RequirementProfile, ServiceOffer
 from .service import BrokerService, ServiceConfig, serve
-
-log = logging.getLogger(__name__)
 
 ACTIONS = ("register", "deregister", "subscribe", "unsubscribe", "publish", "pull")
 
@@ -356,49 +351,40 @@ class _SimService:
             return sample
 
 
-class _SimEndpointsHandler(BaseHTTPRequestHandler):
+class _SimEndpointsHandler(wire.JsonHandler):
+    """Serves the hub's addresses over HTTP: POST a push to a consumer's,
+    GET ``<service address>/topics/<topic>`` to pull from a service."""
+
     hub: "_SimEndpoints"
 
-    protocol_version = "HTTP/1.1"
-    timeout = wire.READ_TIMEOUT_S
-
     def do_POST(self) -> None:
-        path = urllib.parse.unquote(self.path)
-        parts = [p for p in path.split("/") if p]
         try:
-            raw = wire.read_body(self) or b"{}"
+            message = wire.decode(wire.read_body(self))
         except errors.BadRequest:
+            message = None
+        if not isinstance(message, dict):
             wire.send_json(self, 400, {"ok": False})
             return
-        if len(parts) == 2 and parts[0] == "consumers":
-            consumer = self.hub.consumers.get(parts[1])
-            if consumer is not None:
-                consumer.receive(json.loads(raw.decode("utf-8")))
-                wire.send_json(self, 200, {"ok": True})
-                return
-        wire.send_json(self, 404, {"ok": False})
+        delivered = self.hub.push(self.hub.base_url + self.path, message).delivered
+        wire.send_json(self, 200 if delivered else 404, {"ok": delivered})
 
     def do_GET(self) -> None:
-        path = urllib.parse.unquote(self.path)
-        parts = [p for p in path.split("/") if p]
-        if len(parts) == 4 and parts[0] == "services" and parts[2] == "topics":
-            service = self.hub.services.get(parts[1])
-            sample = service.pull(parts[3]) if service is not None else None
-            if sample is not None:
-                wire.send_json(self, 200, sample)
-                return
-        wire.send_json(self, 404, {})
-
-    def log_message(self, format: str, *args: Any) -> None:
-        log.debug("sim endpoint: " + format, *args)
+        prefix, _, topic = self.path.rpartition("/topics/")
+        try:
+            sample = self.hub.pull(self.hub.base_url + prefix, urllib.parse.unquote(topic))
+        except errors.UpstreamUnavailable:
+            wire.send_json(self, 404, {})
+            return
+        wire.send_json(self, 200, sample)
 
 
 class _SimEndpoints:
     """The simulated consumers and services of a run, by id.
 
-    Each has an address under ``base_url``. In process the broker reaches
-    them through this object as its Transport; listen() serves the same
-    addresses over loopback HTTP instead.
+    Each has an address under ``base_url``, with its id quoted as one
+    path segment. In process the broker reaches them through this object
+    as its Transport; listen() serves the same addresses over loopback
+    HTTP instead. Either way push() and pull() are the only lookup.
     """
 
     def __init__(self, scenario: Scenario | None = None) -> None:
@@ -407,22 +393,24 @@ class _SimEndpoints:
         self.consumers = {consumer_id: _SimConsumer() for consumer_id in consumers}
         self.services = {service_id: _SimService() for service_id in services}
         self.base_url = "local:"
-        self.server: ThreadingHTTPServer | None = None
+        self.server: wire.Server | None = None
 
     def consumer(self, consumer_id: str) -> str:
-        return f"{self.base_url}/consumers/{consumer_id}"
+        return self.base_url + wire.fill("/consumers/{consumer_id}", {"consumer_id": consumer_id})
 
     def service(self, service_id: str) -> str:
-        return f"{self.base_url}/services/{service_id}"
+        return self.base_url + wire.fill("/services/{service_id}", {"service_id": service_id})
 
-    def push(self, callback_address: str, message: dict[str, Any]) -> DeliveryStatus:
-        consumer = self.consumers.get(callback_address.removeprefix(self.consumer("")))
+    def push(self, callback_address: str, message: dict[str, Any]) -> wire.DeliveryStatus:
+        consumer_id = urllib.parse.unquote(callback_address.removeprefix(self.consumer("")))
+        consumer = self.consumers.get(consumer_id)
         if consumer is not None:
             consumer.receive(message)
-        return DeliveryStatus(delivered=consumer is not None, attempts=1)
+        return wire.DeliveryStatus(delivered=consumer is not None, attempts=1)
 
     def pull(self, service_address: str, topic: str) -> dict[str, Any]:
-        service = self.services.get(service_address.removeprefix(self.service("")))
+        service_id = urllib.parse.unquote(service_address.removeprefix(self.service("")))
+        service = self.services.get(service_id)
         sample = service.pull(topic) if service is not None else None
         if sample is None:
             raise errors.UpstreamUnavailable(
@@ -432,18 +420,12 @@ class _SimEndpoints:
 
     def listen(self) -> None:
         handler = type("BoundSimHandler", (_SimEndpointsHandler,), {"hub": self})
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-        self.server.daemon_threads = True
-        self.thread = threading.Thread(target=self.server.serve_forever, daemon=True)
-        self.thread.start()
-        host, port = self.server.server_address[:2]
-        self.base_url = f"http://{host}:{port}"
+        self.server = wire.Server("127.0.0.1", 0, handler)
+        self.base_url = self.server.base_url
 
     def stop(self) -> None:
         if self.server is not None:
-            self.server.shutdown()
-            self.server.server_close()
-            self.thread.join(timeout=5.0)
+            self.server.stop()
 
 
 # -- runner -----------------------------------------------------------------
@@ -487,7 +469,7 @@ def run(scenario: Scenario, mode: str = "in-process") -> RunReport:
             endpoints.listen()
             config = ServiceConfig(
                 catalog=scenario.catalog,
-                retry=RetryPolicy(attempts=3, backoff_initial=0.05),
+                retry=wire.RetryPolicy(attempts=3, backoff_initial=0.05),
             )
             send = wire.WireClient(stack.enter_context(serve(config)).base_url).request
         report = _execute(scenario, endpoints, send, clock)

@@ -5,24 +5,49 @@ and receives exactly one ``ack`` or ``error`` envelope carrying the same
 ``request_id``. Bodies use the canonical serialized forms from
 :mod:`ctxbroker.model`. Notifications and advisories are pushed to
 consumer-supplied callback URLs as the same envelope shape.
+Path templates and their quoting, the HTTP handler base and the server
+live here, for the broker service and the simulated endpoints alike.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
+import re
+import threading
 import time
 import urllib.error
 import urllib.parse
 import urllib.request
 import uuid
-from http.server import BaseHTTPRequestHandler
+from dataclasses import dataclass
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
 from . import errors
-from .broker import DeliveryStatus, RetryPolicy
 
 log = logging.getLogger(__name__)
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Bounded retry with exponential backoff for callback delivery."""
+
+    attempts: int = 3
+    backoff_initial: float = 0.1
+    backoff_multiplier: float = 2.0
+
+    def delay(self, attempt: int) -> float:
+        """Sleep before retry number ``attempt`` (counted from 1)."""
+        return self.backoff_initial * self.backoff_multiplier ** (attempt - 1)
+
+
+@dataclass(frozen=True)
+class DeliveryStatus:
+    delivered: bool
+    attempts: int
+
 
 # Largest request body an HTTP handler reads; a longer declared body is
 # refused before any of it is read.
@@ -47,6 +72,28 @@ PATHS: dict[str, tuple[str, str]] = {
     "find-consumers": ("GET", "/topics/{topic}/consumers"),
     "drain": ("POST", "/debug/drain"),
 }
+
+
+@functools.cache
+def _pattern(template: str) -> re.Pattern[str]:
+    """A path template compiled once: each {name} matches one path segment."""
+    return re.compile(re.sub(r"\{(\w+)\}", r"(?P<\1>[^/]+)", template))
+
+
+def match(paths: dict[str, tuple[str, str]], verb: str, path: str) -> tuple[str, dict[str, str]]:
+    """The kind whose ``(verb, template)`` row serves ``verb path``, with
+    each field unquoted; NotFound when no row does."""
+    for kind, (row_verb, template) in paths.items():
+        found = _pattern(template).fullmatch(path) if row_verb == verb else None
+        if found:
+            return kind, {k: urllib.parse.unquote(v) for k, v in found.groupdict().items()}
+    raise errors.NotFound(f"no route for {verb} {path}")
+
+
+def fill(template: str, fields: dict[str, Any]) -> str:
+    """The inverse of ``match``: each {field} of ``template`` replaced by
+    its value, percent-encoded as one path segment (``/`` becomes ``%2F``)."""
+    return template.format_map({k: urllib.parse.quote(str(v), safe="") for k, v in fields.items()})
 
 
 def make_envelope(kind: str, body: dict[str, Any], request_id: str | None = None) -> dict[str, Any]:
@@ -76,6 +123,14 @@ def http_status_for(code: str) -> int:
         "NO_VALUE_YET": 404,
         "UPSTREAM_UNAVAILABLE": 502,
     }.get(code, 500)
+
+
+def decode(raw: bytes) -> Any:
+    """The JSON document in a request body; None when empty or unparseable."""
+    try:
+        return json.loads(raw.decode("utf-8")) if raw else None
+    except ValueError:
+        return None
 
 
 def read_body(handler: BaseHTTPRequestHandler) -> bytes:
@@ -108,6 +163,43 @@ def send_json(handler: BaseHTTPRequestHandler, status: int, payload: Any) -> Non
         handler.send_header("Connection", "close")
     handler.end_headers()
     handler.wfile.write(data)
+
+
+class JsonHandler(BaseHTTPRequestHandler):
+    """Base of every HTTP handler here: keep-alive HTTP/1.1, a read
+    timeout on silent sockets, and access lines at debug level."""
+
+    protocol_version = "HTTP/1.1"
+    timeout = READ_TIMEOUT_S
+
+    def log_message(self, format: str, *args: Any) -> None:
+        log.debug("%s - %s", self.address_string(), format % args)
+
+
+class Server(ThreadingHTTPServer):
+    """An HTTP server answering on a daemon thread from construction
+    until stop(); one more daemon thread per connection."""
+
+    daemon_threads = True
+
+    def __init__(self, host: str, port: int, handler: type[BaseHTTPRequestHandler]) -> None:
+        super().__init__((host, port), handler)
+        self.host, self.port = str(self.server_address[0]), int(self.server_address[1])
+        self._thread = threading.Thread(
+            target=self.serve_forever, name="ctxbroker-http", daemon=True)
+        self._thread.start()
+
+    @property
+    def base_url(self) -> str:
+        return f"http://{self.host}:{self.port}"
+
+    def stop(self) -> None:
+        self.shutdown()
+        self.server_close()
+        self._thread.join(timeout=5.0)
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.stop()
 
 
 def _request_json(
@@ -178,7 +270,7 @@ class HttpTransport:
         return push_notification(callback_address, message, self.retry, self.timeout)
 
     def pull(self, service_address: str, topic: str) -> dict[str, Any]:
-        url = service_address.rstrip("/") + "/topics/" + urllib.parse.quote(topic, safe="")
+        url = service_address.rstrip("/") + fill("/topics/{topic}", {"topic": topic})
         try:
             status, payload = _request_json("GET", url, None, self.timeout)
         except (OSError, urllib.error.URLError) as exc:
@@ -228,8 +320,7 @@ class WireClient:
         verb, template = PATHS[kind]
         if verb == "POST":
             return self.exchange(verb, template, make_envelope(kind, body, request_id))["body"]
-        path = template.format_map(
-            {key: urllib.parse.quote(str(value), safe="") for key, value in body.items()})
+        path = fill(template, body)
         if request_id is not None:
             path += "?request_id=" + urllib.parse.quote(request_id, safe="")
         return self.exchange(verb, path)["body"]

@@ -7,6 +7,7 @@ import http.client
 import json
 import random
 import socket
+import string
 import threading
 import time
 import urllib.error
@@ -15,7 +16,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from ctxbroker.broker import RetryPolicy
 from ctxbroker.model import IndicatorCatalog, RequirementProfile, ServiceOffer
 from ctxbroker.service import (
     ROUTES,
@@ -32,9 +32,12 @@ from ctxbroker.wire import (
     MAX_BODY_BYTES,
     PATHS,
     READ_TIMEOUT_S,
+    RetryPolicy,
     WireClient,
     WireError,
+    fill,
     make_envelope,
+    match,
     push_notification,
 )
 
@@ -479,6 +482,15 @@ class TestHttpEndpoints:
     def test_paths_and_routes_name_the_same_kinds(self):
         assert sorted(PATHS) == sorted(ROUTES)
 
+    @pytest.mark.parametrize("value", ["a/b", "a b", "100%", "a?b#c", "ü"])
+    def test_fill_then_match_gives_back_every_row(self, value):
+        for kind, (verb, template) in PATHS.items():
+            names = [name for _, name, _, _ in string.Formatter().parse(template) if name]
+            fields = {name: value + name for name in names}
+            path = fill(template, fields)
+            assert path.count("/") == template.count("/")
+            assert match(PATHS, verb, path) == (kind, fields)
+
     def test_topic_with_slash_and_space_round_trips(self, running, threshold_profile):
         _, client = running
         topic = "room 1/temp"
@@ -586,6 +598,29 @@ class TestPersistence:
             BrokerService(config_for(threshold_catalog, tmp_path), transport=RecordingTransport())
         assert "state.json" in str(excinfo.value)
 
+    def test_refused_startup_leaves_no_dispatch_thread(self, threshold_catalog, tmp_path):
+        (tmp_path / "state.json").write_text("{not json", encoding="utf-8")
+        before = dispatch_threads()
+        for _ in range(3):
+            with pytest.raises(SnapshotError):
+                BrokerService(config_for(threshold_catalog, tmp_path), transport=RecordingTransport())
+        assert dispatch_threads() == before
+
+    def test_snapshot_naming_a_service_twice_refuses_startup(self, threshold_catalog, tmp_path):
+        config = config_for(threshold_catalog, tmp_path)
+        first = BrokerService(config, transport=RecordingTransport())
+        first.handle_request(make_envelope("register", {
+            "offer": make_offer("cs-a", 0.9, 0.95, 0.99).to_dict(), "service_address": "svc://a"}))
+        first.close()
+        state = load_snapshot(config.persist_path)
+        state["registrations"].append(dict(state["registrations"][0], registration_id="reg-9"))
+        save_snapshot(config.persist_path, state)
+        before = dispatch_threads()
+        with pytest.raises(SnapshotError) as excinfo:
+            BrokerService(config, transport=RecordingTransport())
+        assert "state.json" in str(excinfo.value) and "cs-a" in str(excinfo.value)
+        assert dispatch_threads() == before
+
     def test_snapshot_of_another_catalog_refuses_startup(
         self, threshold_catalog, threshold_profile, tmp_path
     ):
@@ -655,6 +690,10 @@ class TestPersistence:
             f"cs-{k:03d}" for k in range(20)
         ]
         restored.close()
+
+
+def dispatch_threads():
+    return sum(thread.name == "ctxbroker-dispatch" for thread in threading.enumerate())
 
 
 def random_requests(rng, catalog, count=12):

@@ -247,6 +247,17 @@ def test_mode_equivalence(seed):
     assert over_wire.meta["mode"] == "over-wire"
 
 
+def test_mode_equivalence_with_ids_and_topic_that_need_quoting():
+    text = json.dumps(minimal_scenario_dict())
+    for plain, quoted in (("cs-a", "svc/1"), ("t1", "room/temp"), ("app-1", "app 1")):
+        text = text.replace(f'"{plain}"', f'"{quoted}"')
+    scenario = Scenario.from_dict(json.loads(text))
+    in_process = run(scenario, mode="in-process")
+    assert in_process.totals["notifications"] == in_process.totals["pulls_ok"] == 1
+    assert in_process.services["svc/1"]["pulls"] == 1
+    assert run(scenario, mode="over-wire") == in_process
+
+
 def test_selected_history_matches_selection_oracle():
     scenario = generate_random_scenario(seed=41, services=5, topics=3, events=25, consumers=2)
     report = run(scenario)
