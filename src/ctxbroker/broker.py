@@ -8,6 +8,11 @@ is immediate and synchronous on any registry change; publications never
 trigger reselection, because offers rather than observed values drive
 selection.
 
+Each registry mutation is written ahead: under the lock it is first
+handed as one record to the journal hook, if there is one, and applied
+only when the hook returns. ``replay`` applies such a record through the
+same code, without pushes, to rebuild the state after a restart.
+
 Only the currently selected service's publications reach a subscriber.
 Publications from other services still land in the topic cache, but are
 never fanned out, which is what gives the selection algorithm
@@ -178,7 +183,11 @@ class ContextBroker:
         catalog: IndicatorCatalog,
         transport: Transport | None = None,
         clock: Callable[[], int] | None = None,
+        journal: Callable[[dict[str, Any]], None] | None = None,
     ) -> None:
+        """``journal``, when given, is called under the lock with each
+        registry mutation's record before the mutation is applied; if it
+        raises, the mutation changes nothing."""
         self.catalog = catalog
         self._transport = transport if transport is not None else NullTransport()
         self._clock = clock if clock is not None else _now_ms
@@ -188,7 +197,7 @@ class ContextBroker:
         self._service_registration: dict[str, str] = {}
         self._selection: dict[str, SelectionState] = {}
         self._cache: dict[tuple[TopicId, str], ContextSample] = {}
-        self._events: list[dict[str, Any]] = []
+        self._journal = journal
         self._next_sub = 1
         self._next_reg = 1
         self._seq = 0
@@ -208,37 +217,31 @@ class ContextBroker:
         if not result:
             raise errors.BadRequest(f"invalid profile: {result.reason}")
         with self._lock:
-            subscription_id = f"sub-{self._next_sub}"
-            self._next_sub += 1
             sub = Subscription(
-                subscription_id=subscription_id,
+                subscription_id=f"sub-{self._next_sub}",
                 consumer_id=consumer_id,
                 profile=profile,
                 callback_address=callback_address,
                 created_at=self._clock(),
             )
-            self._subscriptions[subscription_id] = sub
-            decision = build_decision_matrix(self._live_offers(), profile)
-            self._selection[subscription_id] = SelectionState(decision, revision=1)
-            self._record(
-                "subscribe",
-                subscription_id=subscription_id,
-                consumer_id=consumer_id,
-                profile=profile.to_dict(),
-                callback_address=callback_address,
-            )
-            missing = renegotiation_report(decision)
-            if missing:
-                self._enqueue_advisory(sub, missing)
-            return subscription_id
+            if self._journal is not None:
+                self._journal(self._record(
+                    "subscribe", sub.created_at,
+                    subscription_id=sub.subscription_id,
+                    consumer_id=consumer_id,
+                    profile=profile.to_dict(),
+                    callback_address=callback_address,
+                ))
+            self._add_subscription(sub, push=True)
+            return sub.subscription_id
 
     def unsubscribe(self, subscription_id: str) -> None:
         with self._lock:
-            if subscription_id not in self._subscriptions:
-                raise errors.NotFound(f"unknown subscription {subscription_id!r}")
-            del self._subscriptions[subscription_id]
-            del self._selection[subscription_id]
-            self._record("unsubscribe", subscription_id=subscription_id)
+            self._get_subscription(subscription_id)
+            if self._journal is not None:
+                self._journal(self._record(
+                    "unsubscribe", self._clock(), subscription_id=subscription_id))
+            self._remove_subscription(subscription_id)
 
     def register_context_service(self, offer: ServiceOffer, service_address: str) -> str:
         """Admit a service offer and reselect for every subscription."""
@@ -250,34 +253,32 @@ class ContextBroker:
                 raise errors.Conflict(
                     f"service {offer.service_id!r} already has an active registration"
                 )
-            registration_id = f"reg-{self._next_reg}"
-            self._next_reg += 1
             reg = Registration(
-                registration_id=registration_id,
+                registration_id=f"reg-{self._next_reg}",
                 offer=offer,
                 service_address=service_address,
                 created_at=self._clock(),
             )
-            self._registrations[registration_id] = reg
-            self._service_registration[offer.service_id] = registration_id
-            self._record(
-                "register",
-                registration_id=registration_id,
-                offer=offer.to_dict(),
-                service_address=service_address,
-            )
-            self._reselect_all()
-            return registration_id
+            if self._journal is not None:
+                self._journal(self._record(
+                    "register", reg.created_at,
+                    registration_id=reg.registration_id,
+                    offer=offer.to_dict(),
+                    service_address=service_address,
+                ))
+            self._add_registration(reg, push=True)
+            return reg.registration_id
 
     def deregister_context_service(self, registration_id: str) -> None:
         with self._lock:
-            reg = self._registrations.pop(registration_id, None)
+            reg = self._registrations.get(registration_id)
             if reg is None:
                 raise errors.NotFound(f"unknown registration {registration_id!r}")
-            del self._service_registration[reg.offer.service_id]
-            self._record("deregister", registration_id=registration_id,
-                         service_id=reg.offer.service_id)
-            self._reselect_all()
+            if self._journal is not None:
+                self._journal(self._record(
+                    "deregister", self._clock(),
+                    registration_id=registration_id, service_id=reg.offer.service_id))
+            self._remove_registration(reg, push=True)
 
     # -- publications and queries --------------------------------------
 
@@ -414,11 +415,6 @@ class ContextBroker:
             self._get_subscription(subscription_id)
             return self._selection[subscription_id].revision
 
-    def events(self) -> list[dict[str, Any]]:
-        """Structured log: one record per registry mutation."""
-        with self._lock:
-            return list(self._events)
-
     def drain(self, timeout: float = 10.0) -> bool:
         """Wait until all enqueued notifications/advisories are delivered or dropped."""
         return self._dispatcher.drain(timeout)
@@ -472,13 +468,9 @@ class ContextBroker:
             self._next_reg = int(state["next_reg"])
             self._seq = int(state["seq"])
             for entry in state["registrations"]:
-                offer = ServiceOffer.from_dict(entry["offer"])
-                result = validate_offer(offer, self.catalog)
-                if not result:
-                    raise ValueError(f"offer {offer.service_id!r}: {result.reason}")
-                if (entry["registration_id"] in self._registrations
-                        or offer.service_id in self._service_registration):
-                    raise ValueError(f"service {offer.service_id!r} or its registration repeats")
+                offer = self._fitting_offer(entry["offer"])
+                if entry["registration_id"] in self._registrations:
+                    raise ValueError(f"registration {entry['registration_id']!r} repeats")
                 reg = Registration(
                     registration_id=entry["registration_id"],
                     offer=offer,
@@ -488,10 +480,7 @@ class ContextBroker:
                 self._registrations[reg.registration_id] = reg
                 self._service_registration[offer.service_id] = reg.registration_id
             for entry in state["subscriptions"]:
-                profile = RequirementProfile.from_dict(entry["profile"])
-                result = validate_profile(profile, self.catalog)
-                if not result:
-                    raise ValueError(f"profile of {entry['subscription_id']!r}: {result.reason}")
+                profile = self._fitting_profile(entry["profile"], entry["subscription_id"])
                 if entry["subscription_id"] in self._subscriptions:
                     raise ValueError(f"subscription {entry['subscription_id']!r} repeats")
                 sub = Subscription(
@@ -506,6 +495,44 @@ class ContextBroker:
                 self._selection[sub.subscription_id] = SelectionState(
                     decision, revision=int(entry["revision"])
                 )
+
+    def replay(self, record: dict[str, Any]) -> None:
+        """Apply one journal record as the mutation that wrote it did,
+        enqueueing no push or advisory. A record that does not follow this
+        broker's state (its ``seq`` or id, an unknown target, an offer or
+        profile that does not fit the catalog) raises ValueError."""
+        with self._lock:
+            if record["seq"] != self._seq + 1:
+                raise ValueError(f"record seq {record['seq']!r} does not follow {self._seq}")
+            kind, at = record["kind"], int(record["at"])
+            if kind == "subscribe":
+                _expect_id(record["subscription_id"], f"sub-{self._next_sub}")
+                self._add_subscription(Subscription(
+                    subscription_id=record["subscription_id"],
+                    consumer_id=record["consumer_id"],
+                    profile=self._fitting_profile(record["profile"], record["subscription_id"]),
+                    callback_address=record["callback_address"],
+                    created_at=at,
+                ), push=False)
+            elif kind == "unsubscribe":
+                if record["subscription_id"] not in self._subscriptions:
+                    raise ValueError(f"unknown subscription {record['subscription_id']!r}")
+                self._remove_subscription(record["subscription_id"])
+            elif kind == "register":
+                _expect_id(record["registration_id"], f"reg-{self._next_reg}")
+                self._add_registration(Registration(
+                    registration_id=record["registration_id"],
+                    offer=self._fitting_offer(record["offer"]),
+                    service_address=record["service_address"],
+                    created_at=at,
+                ), push=False)
+            elif kind == "deregister":
+                reg = self._registrations.get(record["registration_id"])
+                if reg is None:
+                    raise ValueError(f"unknown registration {record['registration_id']!r}")
+                self._remove_registration(reg, push=False)
+            else:
+                raise ValueError(f"unknown record kind {kind!r}")
 
     # -- internals --------------------------------------------------------
 
@@ -525,11 +552,60 @@ class ContextBroker:
     def _live_offers(self) -> list[ServiceOffer]:
         return [reg.offer for reg in self._registrations.values()]
 
-    def _reselect_all(self) -> None:
+    def _fitting_offer(self, data: dict[str, Any]) -> ServiceOffer:
+        """A restored offer that fits the catalog and names a service not yet registered."""
+        offer = ServiceOffer.from_dict(data)
+        result = validate_offer(offer, self.catalog)
+        if not result:
+            raise ValueError(f"offer {offer.service_id!r}: {result.reason}")
+        if offer.service_id in self._service_registration:
+            raise ValueError(f"service {offer.service_id!r} repeats")
+        return offer
+
+    def _fitting_profile(self, data: dict[str, Any], subscription_id: str) -> RequirementProfile:
+        profile = RequirementProfile.from_dict(data)
+        result = validate_profile(profile, self.catalog)
+        if not result:
+            raise ValueError(f"profile of {subscription_id!r}: {result.reason}")
+        return profile
+
+    # The apply path: live mutations (push=True) and replay (push=False)
+    # change the registries, the id counters and ``seq`` only here.
+
+    def _add_subscription(self, sub: Subscription, push: bool) -> None:
+        self._seq += 1
+        self._next_sub += 1
+        self._subscriptions[sub.subscription_id] = sub
+        decision = build_decision_matrix(self._live_offers(), sub.profile)
+        self._selection[sub.subscription_id] = SelectionState(decision, revision=1)
+        missing = renegotiation_report(decision)
+        if push and missing:
+            self._enqueue_advisory(sub, missing)
+
+    def _remove_subscription(self, subscription_id: str) -> None:
+        self._seq += 1
+        del self._subscriptions[subscription_id]
+        del self._selection[subscription_id]
+
+    def _add_registration(self, reg: Registration, push: bool) -> None:
+        self._seq += 1
+        self._next_reg += 1
+        self._registrations[reg.registration_id] = reg
+        self._service_registration[reg.offer.service_id] = reg.registration_id
+        self._reselect_all(push)
+
+    def _remove_registration(self, reg: Registration, push: bool) -> None:
+        self._seq += 1
+        del self._registrations[reg.registration_id]
+        del self._service_registration[reg.offer.service_id]
+        self._reselect_all(push)
+
+    def _reselect_all(self, push: bool) -> None:
         """Recompute every subscription's decision after a registry change.
 
         Revision bumps only when the decision actually changed; topics
-        whose provider disappeared get a renegotiation advisory.
+        whose provider disappeared get a renegotiation advisory when
+        ``push`` is set.
         """
         offers = self._live_offers()
         for sub in self._subscriptions.values():
@@ -547,7 +623,7 @@ class ContextBroker:
             self._selection[sub.subscription_id] = SelectionState(
                 decision, revision=state.revision + 1
             )
-            if lost:
+            if push and lost:
                 self._enqueue_advisory(sub, lost)
 
     def _enqueue_notification(self, sub: Subscription, sample: ContextSample) -> None:
@@ -558,6 +634,10 @@ class ContextBroker:
         self._dispatcher.enqueue(sub.callback_address, make_envelope(
             "advisory", {"subscription_id": sub.subscription_id, "topics": list(topics)}))
 
-    def _record(self, kind: str, **payload: Any) -> None:
-        self._seq += 1
-        self._events.append({"seq": self._seq, "kind": kind, "at": self._clock(), **payload})
+    def _record(self, kind: str, at: int, **payload: Any) -> dict[str, Any]:
+        return {"seq": self._seq + 1, "kind": kind, "at": at, **payload}
+
+
+def _expect_id(got: str, expected: str) -> None:
+    if got != expected:
+        raise ValueError(f"record id {got!r} where {expected!r} comes next")

@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--config", help="declarative config JSON file; flags override it")
     serve_p.add_argument("--listen", help="host:port to listen on (env CTXBROKER_LISTEN)")
     serve_p.add_argument("--catalog", help="indicator catalog JSON file")
-    serve_p.add_argument("--persist", help="snapshot file path (env CTXBROKER_PERSIST)")
+    serve_p.add_argument("--persist", help="persist file: snapshot plus journal (env CTXBROKER_PERSIST)")
     serve_p.add_argument("--log-level", dest="log_level")
     serve_p.set_defaults(func=_cmd_serve)
 
@@ -95,13 +95,13 @@ def _resolve_serve_config(args: argparse.Namespace) -> ServiceConfig:
     catalog_source = args.catalog or file_config.get("catalog")
     if catalog_source is None:
         raise ValueError("a catalog is required (--catalog or a config file with one)")
-    if isinstance(catalog_source, dict):
+    if not isinstance(catalog_source, dict):
+        catalog_source = json.loads(Path(catalog_source).read_text(encoding="utf-8"))
+    try:
         catalog = IndicatorCatalog.from_dict(catalog_source)
-    else:
-        catalog = IndicatorCatalog.from_dict(
-            json.loads(Path(catalog_source).read_text(encoding="utf-8"))
-        )
-    retry = RetryPolicy(**file_config.get("retry", {}))
+        retry = RetryPolicy(**file_config.get("retry", {}))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed catalog or retry settings: {exc!r}") from exc
     return ServiceConfig(
         catalog=catalog,
         listen=listen,

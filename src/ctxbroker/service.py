@@ -1,23 +1,25 @@
 """Network-facing broker service: envelope routing over HTTP, callback
-push, and durable single-file snapshots of registrations and
-subscriptions.
+push, and a durable single file of registrations and subscriptions.
 
-Snapshots are written atomically (temp file, then rename) after every
-mutating request, so a restart reproduces the same registries, selection
-states and id counters. The topic value cache is deliberately not
-persisted; it refills from fresh publications.
+The persist file holds a base snapshot followed by a write-ahead
+journal, one JSON mutation record per line. Each record is appended and
+fsynced before the broker applies it, so an acknowledged mutation
+survives a crash and a failed append changes nothing. A restart restores
+the base and replays the records, reproducing the same registries,
+selection states and id counters. The topic value cache is deliberately
+not persisted; it refills from fresh publications.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-import threading
+import os
 import urllib.parse
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, BinaryIO, Callable
 
 from . import errors, wire
 from .broker import ContextBroker, Transport
@@ -45,28 +47,87 @@ class ServiceConfig:
         return host, int(port)
 
 
+@dataclass
+class Journal:
+    """The journal part of a persist file, as ``load_snapshot`` found it,
+    and the handle that appends to it."""
+
+    records: list[dict[str, Any]] = field(default_factory=list)
+    base_bytes: int = 0  # the base and its newline; 0 when there is no file
+    end: int = 0  # the base and every whole record; a torn last line lies past it
+    file: BinaryIO | None = None
+
+    @property
+    def tail_bytes(self) -> int:
+        return self.end - self.base_bytes
+
+
 def save_snapshot(path: str | Path, state: dict[str, Any]) -> None:
-    """Write the state file atomically: temp in the same directory, then rename."""
+    """Write ``state`` as the base of an empty journal, atomically and
+    durably: a temp file in the same directory, fsynced, renamed over the
+    target, then the directory fsynced."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     temp = target.with_name(target.name + ".tmp")
-    temp.write_text(json.dumps(state, sort_keys=True, indent=2), encoding="utf-8")
+    with open(temp, "wb") as fh:
+        fh.write(json.dumps(state, sort_keys=True, separators=(",", ":")).encode() + b"\n")
+        fh.flush()
+        os.fsync(fh.fileno())
     temp.replace(target)
-
-
-def load_snapshot(path: str | Path) -> dict[str, Any] | None:
-    """Read a state file; None when absent, SnapshotError when unreadable."""
-    target = Path(path)
-    if not target.exists():
-        return None
+    directory = os.open(target.parent, os.O_RDONLY)
     try:
-        state = json.loads(target.read_text(encoding="utf-8"))
+        os.fsync(directory)
+    finally:
+        os.close(directory)
+
+
+def load_snapshot(path: str | Path, journal: Journal | None = None) -> dict[str, Any] | None:
+    """Read a persist file once and return its base state; None when the
+    file is absent, SnapshotError when it is unreadable.
+
+    With a ``journal``, the records after the base go to its ``records``. A last
+    line that is cut short or does not parse is torn: it is dropped, and
+    ``journal.end`` stops before it. A bad line anywhere earlier refuses
+    the file.
+    """
+    target = Path(path)
+    try:
+        text = target.read_bytes().decode("utf-8")
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    except UnicodeDecodeError as exc:
+        raise SnapshotError(f"corrupt snapshot file {target}: {exc}") from exc
+    try:
+        state, pos = json.JSONDecoder().raw_decode(text)
         for key in ("next_sub", "next_reg", "seq", "registrations", "subscriptions"):
             if key not in state:
                 raise KeyError(key)
-        return state
-    except (json.JSONDecodeError, KeyError, UnicodeDecodeError, TypeError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise SnapshotError(f"corrupt snapshot file {target}: {exc}") from exc
+    if text.startswith("\n", pos):
+        pos += 1
+    if journal is None:
+        return state
+    journal.base_bytes = journal.end = len(text[:pos].encode())
+    while pos < len(text):
+        newline = text.find("\n", pos)
+        if newline < 0:  # cut short: the append that wrote it never returned
+            log.warning("dropping the torn last line of %s", target)
+            break
+        line = text[pos:newline]
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise TypeError(f"a record is an object, not {type(record).__name__}")
+        except (json.JSONDecodeError, TypeError) as exc:
+            if newline + 1 < len(text):
+                raise SnapshotError(f"corrupt journal record in {target}: {exc}") from exc
+            log.warning("dropping the torn last line of %s", target)
+            break
+        journal.records.append(record)
+        journal.end += len(line.encode()) + 1
+        pos = newline + 1
+    return state
 
 
 class BrokerService:
@@ -84,22 +145,25 @@ class BrokerService:
         clock: Callable[[], int] | None = None,
     ) -> None:
         self.config = config
+        # Without a persist path there is no journal: the broker builds no records.
+        self._journal = None if config.persist_path is None else Journal()
         # Read before the broker starts its dispatch thread, so an
         # unreadable file leaves nothing running behind.
-        state = None if config.persist_path is None else load_snapshot(config.persist_path)
+        state = None if self._journal is None else load_snapshot(config.persist_path, self._journal)
         if transport is None:
             transport = wire.HttpTransport(retry=config.retry)
-        self.broker = ContextBroker(config.catalog, transport=transport, clock=clock)
-        # Serializes snapshot capture+write: concurrent mutations must not
-        # interleave through the shared temp file.
-        self._persist_lock = threading.Lock()
+        self.broker = ContextBroker(config.catalog, transport=transport, clock=clock,
+                                    journal=None if self._journal is None else self._append)
         if state is not None:
             try:
                 self.broker.restore_state(state)
+                for record in self._journal.records:
+                    self.broker.replay(record)
             except (KeyError, TypeError, ValueError) as exc:
                 self.broker.close()
                 raise SnapshotError(
                     f"snapshot file {config.persist_path} does not fit: {exc!r}") from exc
+            self._journal.records.clear()
 
     # -- envelope routing -------------------------------------------------
 
@@ -116,15 +180,13 @@ class BrokerService:
             body = envelope.get("body")
             if not isinstance(body, dict):
                 raise errors.BadRequest("envelope body must be a JSON object")
-            route = ROUTES.get(kind) if isinstance(kind, str) else None
-            if route is None:
+            handler = ROUTES.get(kind) if isinstance(kind, str) else None
+            if handler is None:
                 raise errors.BadRequest(f"unsupported envelope kind {kind!r}")
             try:
-                result = route.handler(self.broker, body)
+                result = handler(self.broker, body)
             except (KeyError, TypeError, ValueError) as exc:
                 raise errors.BadRequest(f"malformed {kind} body: {exc}") from exc
-            if route.mutates:
-                self._persist()
             return wire.ack(request_id, result)
         except errors.BrokerError as exc:
             return wire.error_envelope(request_id, exc)
@@ -148,23 +210,69 @@ class BrokerService:
             wire.make_envelope("decision", {"subscription_id": subscription_id}, request_id))
 
     def close(self) -> None:
+        """Stop the broker; a non-empty journal is first compacted into the base."""
+        journal = self._journal
+        if journal is not None:
+            with self.broker._lock:  # no append between the capture and the rename
+                if journal.file is not None:
+                    journal.file.close()
+                    journal.file = None
+                if journal.tail_bytes:
+                    try:
+                        self._compact()
+                    except OSError:
+                        log.exception("compaction of %s failed; its journal keeps every record",
+                                      self.config.persist_path)
         self.broker.close()
 
-    def _persist(self) -> None:
-        if self.config.persist_path is not None:
-            with self._persist_lock:
-                save_snapshot(self.config.persist_path, self.broker.snapshot_state())
+    # -- the write-ahead journal ------------------------------------------
+
+    def _append(self, record: dict[str, Any]) -> None:
+        """The broker's journal hook: runs under the broker lock before the
+        mutation is applied, and makes the record durable or raises."""
+        journal = self._journal
+        line = json.dumps(record, separators=(",", ":")).encode() + b"\n"
+        if journal.file is None or journal.tail_bytes > journal.base_bytes:
+            self._open()
+        try:
+            journal.file.write(line)
+            journal.file.flush()
+            os.fsync(journal.file.fileno())
+        except OSError:
+            # The next append reopens the file and cuts off what this one wrote.
+            journal.file.close()
+            journal.file = None
+            raise
+        journal.end += len(line)
+
+    def _open(self) -> None:
+        """Open the append handle. A missing base, or a tail grown past the
+        base, is first rewritten into a new base; a torn last line is cut off."""
+        journal = self._journal
+        if journal.file is not None:
+            journal.file.close()
+            journal.file = None
+        if not journal.base_bytes or journal.tail_bytes > journal.base_bytes:
+            self._compact()
+        handle = open(self.config.persist_path, "ab")
+        try:
+            handle.truncate(journal.end)
+        except OSError:
+            handle.close()
+            raise
+        journal.file = handle
+
+    def _compact(self) -> None:
+        """Rewrite the base from the live state, leaving an empty journal.
+        Runs under the broker lock."""
+        # Until the new base is in place, the next append rewrites it again.
+        self._journal.base_bytes = 0
+        save_snapshot(self.config.persist_path, self.broker.snapshot_state())
+        self._journal.base_bytes = self._journal.end = os.path.getsize(self.config.persist_path)
 
 
-# -- the route table: one row per envelope kind ------------------------------
-
-
-class Route(NamedTuple):
-    """What one envelope kind does to the broker; ``wire.PATHS`` says how
-    it arrives over HTTP. A mutating route is persisted before its ack."""
-
-    handler: Callable[[ContextBroker, dict[str, Any]], dict[str, Any]]
-    mutates: bool = False
+# -- the route table: one handler per envelope kind --------------------------
+# ``wire.PATHS`` says how each kind arrives over HTTP.
 
 
 def _subscribe(broker: ContextBroker, body: dict[str, Any]) -> dict[str, Any]:
@@ -209,21 +317,21 @@ def _drain(broker: ContextBroker, body: dict[str, Any]) -> dict[str, Any]:
     return {}
 
 
-ROUTES: dict[str, Route] = {
-    "subscribe": Route(_subscribe, mutates=True),
-    "unsubscribe": Route(_unsubscribe, mutates=True),
-    "register": Route(_register, mutates=True),
-    "deregister": Route(_deregister, mutates=True),
-    "notify": Route(_notify),
-    "pull-current": Route(_pull_current),
-    "pull-last": Route(_pull_last),
-    "decision": Route(lambda broker, body: {
-        "decision": broker.get_decision(body["subscription_id"]).to_dict()}),
-    "find-services": Route(lambda broker, body: {
-        "service_ids": broker.find_context_services(body["topic"])}),
-    "find-consumers": Route(lambda broker, body: {
-        "subscription_ids": broker.find_context_consumers(body["topic"])}),
-    "drain": Route(_drain),
+ROUTES: dict[str, Callable[[ContextBroker, dict[str, Any]], dict[str, Any]]] = {
+    "subscribe": _subscribe,
+    "unsubscribe": _unsubscribe,
+    "register": _register,
+    "deregister": _deregister,
+    "notify": _notify,
+    "pull-current": _pull_current,
+    "pull-last": _pull_last,
+    "decision": lambda broker, body: {
+        "decision": broker.get_decision(body["subscription_id"]).to_dict()},
+    "find-services": lambda broker, body: {
+        "service_ids": broker.find_context_services(body["topic"])},
+    "find-consumers": lambda broker, body: {
+        "subscription_ids": broker.find_context_consumers(body["topic"])},
+    "drain": _drain,
 }
 
 class _Handler(wire.JsonHandler):

@@ -157,3 +157,11 @@ def random_sample(rng: random.Random):
         produced_at=rng.randint(0, 10**12),
         service_id=f"cs{rng.randint(1, 99):02d}",
     )
+
+
+def crash(service) -> None:
+    """Stop a BrokerService as a crash would: no compaction, the journal
+    left as its last append wrote it (only the process's handles close)."""
+    service.broker.close()
+    if service._journal is not None and service._journal.file is not None:
+        service._journal.file.close()

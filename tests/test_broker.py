@@ -365,7 +365,9 @@ class TestDeliveryOrderAndCompleteness:
 
 
 class TestEventLog:
-    def test_holds_registry_mutations_only(self, broker, threshold_profile, transport):
+    def test_holds_registry_mutations_only(self, threshold_catalog, threshold_profile, transport):
+        records: list[dict] = []
+        broker = ContextBroker(threshold_catalog, transport=transport, journal=records.append)
         sub = broker.subscribe("app-1", threshold_profile, "cb://app-1")
         broker.register_context_service(make_offer("cs-a", 0.9, 0.95, 0.99), "svc://a")
         for at in range(50):
@@ -375,27 +377,45 @@ class TestEventLog:
         broker.get_last_topic_value(sub, "location")
         assert broker.drain()
         assert len(transport.messages("cb://app-1", kind="notify")) == 50
-        assert [r["kind"] for r in broker.events()] == ["subscribe", "register"]
+        assert [r["kind"] for r in records] == ["subscribe", "register"]
+        broker.close()
+
+    def test_a_failing_hook_changes_nothing(self, threshold_catalog, threshold_profile, transport):
+        records: list[dict] = []
+        fail = False
+
+        def journal(record):
+            if fail:
+                raise OSError("disk full")
+            records.append(record)
+
+        broker = ContextBroker(threshold_catalog, transport=transport, journal=journal)
+        sub = broker.subscribe("app-1", threshold_profile, "cb://app-1")
+        reg = broker.register_context_service(make_offer("cs-a", 0.9, 0.95, 0.99), "svc://a")
+        before = broker.snapshot_state()
+        fail = True
+        with pytest.raises(OSError):
+            broker.subscribe("app-2", threshold_profile, "cb://app-2")
+        with pytest.raises(OSError):
+            broker.register_context_service(make_offer("cs-b", 0.9, 0.95, 0.99), "svc://b")
+        with pytest.raises(OSError):
+            broker.unsubscribe(sub)
+        with pytest.raises(OSError):
+            broker.deregister_context_service(reg)
+        assert broker.snapshot_state() == before
+        assert broker.find_context_services("location") == ["cs-a"]
+        assert broker.get_decision(sub).selected == ("cs-a",)
+        fail = False
+        assert broker.subscribe("app-2", threshold_profile, "cb://app-2") == "sub-2"
+        assert [r["seq"] for r in records] == [1, 2, 3]
+        broker.close()
 
 
 def replay_events(catalog, events):
-    """Rebuild a broker by re-applying the mutation records of an event log."""
+    """Rebuild a broker by replaying the mutation records its journal hook got."""
     replica = ContextBroker(catalog, transport=RecordingTransport())
     for record in events:
-        if record["kind"] == "subscribe":
-            replica.subscribe(
-                record["consumer_id"],
-                RequirementProfile.from_dict(record["profile"]),
-                record["callback_address"],
-            )
-        elif record["kind"] == "unsubscribe":
-            replica.unsubscribe(record["subscription_id"])
-        elif record["kind"] == "register":
-            replica.register_context_service(
-                ServiceOffer.from_dict(record["offer"]), record["service_address"]
-            )
-        elif record["kind"] == "deregister":
-            replica.deregister_context_service(record["registration_id"])
+        replica.replay(record)
     return replica
 
 
@@ -405,7 +425,8 @@ class TestSelectionFreshness:
         for _ in range(20):
             catalog = random_catalog(rng, max_qoc=3, max_qos=2)
             transport = RecordingTransport()
-            broker = ContextBroker(catalog, transport=transport)
+            records: list[dict] = []
+            broker = ContextBroker(catalog, transport=transport, journal=records.append)
             live_regs: list[str] = []
             live_subs: list[str] = []
             offers_by_reg: dict[str, ServiceOffer] = {}
@@ -442,13 +463,13 @@ class TestSelectionFreshness:
                 profile_of_sub = RequirementProfile.from_dict(
                     next(
                         r["profile"]
-                        for r in broker.events()
+                        for r in records
                         if r["kind"] == "subscribe" and r["subscription_id"] == sub
                     )
                 )
                 assert decision == build_decision_matrix(live_offers, profile_of_sub)
             # And a replay of the mutation log reproduces the same state.
-            replica = replay_events(catalog, broker.events())
+            replica = replay_events(catalog, records)
             for sub in live_subs:
                 assert replica.get_decision(sub) == broker.get_decision(sub)
             for topic in profile.topics:

@@ -197,3 +197,17 @@ class TestServeConfigResolution:
     def test_missing_catalog_is_an_error(self, tmp_path, monkeypatch):
         with pytest.raises(ValueError):
             self.resolve(tmp_path, ["--listen", "127.0.0.1:7002"], monkeypatch=monkeypatch)
+
+
+@pytest.mark.parametrize("flag, document", [
+    ("--catalog", {"qoc_indicators": ["freshness"]}),
+    ("--config", {"catalog": {"qoc_indicators": ["freshness"], "qos_indicators": ["availability"]},
+                  "retry": {"attempt": 3}}),
+], ids=["catalog without qos_indicators", "unknown retry field"])
+def test_malformed_serve_config_is_an_error(tmp_path, capsys, monkeypatch, flag, document):
+    monkeypatch.delenv("CTXBROKER_LISTEN", raising=False)
+    monkeypatch.delenv("CTXBROKER_PERSIST", raising=False)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert main(["serve", flag, str(path), "--listen", "127.0.0.1:0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

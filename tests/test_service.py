@@ -20,6 +20,7 @@ from ctxbroker.model import IndicatorCatalog, RequirementProfile, ServiceOffer
 from ctxbroker.service import (
     ROUTES,
     BrokerService,
+    Journal,
     ServiceConfig,
     SnapshotError,
     _Handler,
@@ -42,7 +43,7 @@ from ctxbroker.wire import (
 )
 
 from conftest import make_offer
-from helpers import RecordingTransport, random_profile
+from helpers import RecordingTransport, crash, random_profile
 
 FAST_RETRY = RetryPolicy(attempts=3, backoff_initial=0.02)
 
@@ -526,6 +527,23 @@ class TestHttpEndpoints:
         assert (status, payload["request_id"]) == (500, "req-i")
         assert payload["body"]["code"] == "INTERNAL"
 
+    def test_failed_append_applies_nothing(self, threshold_catalog, threshold_profile, tmp_path):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        config = ServiceConfig(
+            catalog=threshold_catalog, persist_path=blocker / "state.json", retry=FAST_RETRY)
+        body = {"consumer_id": "app-1", "profile": threshold_profile.to_dict(),
+                "callback_address": "cb://app-1"}
+        with serve(config) as handle:
+            status, payload = http_json("POST", handle.base_url + "/subscriptions",
+                                        make_envelope("subscribe", body))
+            assert (status, payload["body"]["code"]) == (500, "INTERNAL")
+            client = WireClient(handle.base_url)
+            assert client.request("find-consumers", {"topic": "location"}) == {
+                "subscription_ids": []}
+            blocker.unlink()
+            assert client.request("subscribe", body) == {"subscription_id": "sub-1"}
+
     def test_unknown_route_is_not_found(self, running):
         handle, _ = running
         try:
@@ -657,6 +675,50 @@ class TestPersistence:
     def test_missing_snapshot_returns_none(self, tmp_path):
         assert load_snapshot(tmp_path / "absent.json") is None
 
+    def test_pretty_printed_base_takes_a_journal(self, threshold_catalog, threshold_profile,
+                                                 tmp_path):
+        config = config_for(threshold_catalog, tmp_path)
+        first = BrokerService(config, transport=RecordingTransport())
+        first.handle_request(make_envelope("register", {
+            "offer": make_offer("cs-a", 0.9, 0.95, 0.99).to_dict(), "service_address": "svc://a"}))
+        first.close()
+        state = load_snapshot(config.persist_path)
+        config.persist_path.write_text(json.dumps(state, sort_keys=True, indent=2))
+        second = BrokerService(config, transport=RecordingTransport())
+        sub = second.handle_request(make_envelope("subscribe", {
+            "consumer_id": "app-1", "profile": threshold_profile.to_dict(),
+            "callback_address": "cb://app-1"}))["body"]["subscription_id"]
+        expected = second.broker.snapshot_state()
+        crash(second)
+        third = BrokerService(config, transport=RecordingTransport())
+        assert third.broker.snapshot_state() == expected
+        assert third.broker.get_decision(sub).selected == ("cs-a",)
+        third.close()
+
+    @pytest.mark.parametrize("fault", ["seq skips", "bad record before the last"])
+    def test_journal_that_does_not_follow_refuses_startup(self, threshold_catalog, tmp_path,
+                                                          fault):
+        config = config_for(threshold_catalog, tmp_path)
+        first = BrokerService(config, transport=RecordingTransport())
+        for k in range(3):
+            first.handle_request(make_envelope("register", {
+                "offer": make_offer(f"cs-{k}", 0.9, 0.95, 0.99).to_dict(),
+                "service_address": f"svc://{k}"}))
+        crash(first)
+        lines = config.persist_path.read_bytes().split(b"\n")
+        assert len(lines) >= 4  # a base, at least two records and the final newline
+        if fault == "seq skips":
+            record = json.loads(lines[-2])
+            lines[-2] = json.dumps(dict(record, seq=record["seq"] + 1)).encode()
+        else:
+            lines[-3] = lines[-3][:-4]
+        config.persist_path.write_bytes(b"\n".join(lines))
+        before = dispatch_threads()
+        with pytest.raises(SnapshotError) as excinfo:
+            BrokerService(config, transport=RecordingTransport())
+        assert "state.json" in str(excinfo.value)
+        assert dispatch_threads() == before
+
     def test_concurrent_mutations_keep_snapshot_loadable(self, threshold_catalog, tmp_path):
         config = ServiceConfig(
             catalog=threshold_catalog,
@@ -766,7 +828,60 @@ def observable_state(service, topics):
     return finds, decisions
 
 
+def durable_state(service, topics):
+    """What a restart must reproduce: finds, decisions, ids, counters and revisions."""
+    return observable_state(service, topics), service.broker.snapshot_state()
+
+
 class TestCrashRestartEquivalence:
+    def test_every_journal_prefix_restarts_equal(self, tmp_path):
+        rng = random.Random(5)
+        catalog = IndicatorCatalog(("q1", "q2"), ("s1",))
+        topics = ["t1", "t2"]
+        config = ServiceConfig(catalog=catalog, persist_path=tmp_path / "s.json", retry=FAST_RETRY)
+        service = BrokerService(config, transport=RecordingTransport())
+        expected = [durable_state(service, topics)]
+        files = []
+        for n, request in enumerate(random_requests(rng, catalog, count=16), start=1):
+            apply_requests(service, [request])
+            assert service.broker.snapshot_state()["seq"] == n
+            expected.append(durable_state(service, topics))
+            files.append(config.persist_path.read_bytes())
+        crash(service)
+
+        copy = tmp_path / "copy" / "s.json"
+        copy.parent.mkdir()
+
+        def restart(data):
+            copy.write_bytes(data)
+            restarted = BrokerService(
+                ServiceConfig(catalog=catalog, persist_path=copy, retry=FAST_RETRY),
+                transport=RecordingTransport())
+            assert copy.read_bytes() == data  # startup writes nothing
+            return restarted
+
+        restarts = 0
+        for n, data in enumerate(files, start=1):
+            base_end = data.index(b"\n") + 1
+            assert data.endswith(b"\n") and len(data) > base_end  # the last record is whole
+            boundaries = [base_end] + [i + 1 for i in range(base_end, len(data)) if data[i] == 10]
+            for cut in boundaries:
+                restarted = restart(data[:cut])
+                assert durable_state(restarted, topics) == expected[n - data[cut:].count(b"\n")]
+                crash(restarted)
+                restarts += 1
+            torn = restart(data[:-7])
+            assert durable_state(torn, topics) == expected[n - 1]
+            # The next append cuts the torn line off before it writes.
+            apply_requests(torn, [("subscribe", random_profile(rng, catalog, 2).to_dict())])
+            crash(torn)
+            again = restart(copy.read_bytes())
+            assert again.broker.snapshot_state()["seq"] == n
+            again.close()
+            journal = Journal()
+            load_snapshot(copy, journal)
+            assert journal.records == []  # close() compacted the journal into the base
+        assert restarts > 2 * len(files)
     def test_interleavings_smoke(self, tmp_path):
         rng = random.Random(99)
         catalog = IndicatorCatalog(("q1", "q2"), ("s1",))
