@@ -50,8 +50,6 @@ from .sim import (
     run,
     save_scenario,
 )
-from .wire import (
-    DeliveryStatus, HttpTransport, RetryPolicy, WireClient, WireError, push_notification,
-)
+from .wire import DeliveryStatus, HttpTransport, RetryPolicy, WireClient, WireError
 
 __version__ = "0.1.0"

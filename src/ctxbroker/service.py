@@ -150,8 +150,10 @@ class BrokerService:
         # Read before the broker starts its dispatch thread, so an
         # unreadable file leaves nothing running behind.
         state = None if self._journal is None else load_snapshot(config.persist_path, self._journal)
+        # A transport passed in belongs to the caller; close() closes only its own.
+        self._own_transport = None
         if transport is None:
-            transport = wire.HttpTransport(retry=config.retry)
+            transport = self._own_transport = wire.HttpTransport(retry=config.retry)
         self.broker = ContextBroker(config.catalog, transport=transport, clock=clock,
                                     journal=None if self._journal is None else self._append)
         if state is not None:
@@ -224,6 +226,8 @@ class BrokerService:
                         log.exception("compaction of %s failed; its journal keeps every record",
                                       self.config.persist_path)
         self.broker.close()
+        if self._own_transport is not None:
+            self._own_transport.close()
 
     # -- the write-ahead journal ------------------------------------------
 

@@ -471,7 +471,8 @@ def run(scenario: Scenario, mode: str = "in-process") -> RunReport:
                 catalog=scenario.catalog,
                 retry=wire.RetryPolicy(attempts=3, backoff_initial=0.05),
             )
-            send = wire.WireClient(stack.enter_context(serve(config)).base_url).request
+            handle = stack.enter_context(serve(config))
+            send = stack.enter_context(wire.WireClient(handle.base_url)).request
         report = _execute(scenario, endpoints, send, clock)
     report.meta = {
         "mode": mode,

@@ -7,19 +7,23 @@ and receives exactly one ``ack`` or ``error`` envelope carrying the same
 consumer-supplied callback URLs as the same envelope shape.
 Path templates and their quoting, the HTTP handler base and the server
 live here, for the broker service and the simulated endpoints alike.
+Pushes, pulls and WireClient requests reuse kept-alive HTTP/1.1
+connections with TCP_NODELAY at both ends, replace an idle connection the
+peer dropped, and resend a request only when sending it on a reused
+connection failed, so no message is sent more often than on new ones.
 """
 
 from __future__ import annotations
 
 import functools
+import http.client
 import json
 import logging
 import re
+import socket
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 import uuid
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -56,6 +60,15 @@ MAX_BODY_BYTES = 1 << 20
 # Seconds an HTTP handler waits on a silent client socket, mid-body or
 # between keep-alive requests, before it drops the connection.
 READ_TIMEOUT_S = 10.0
+
+# Idle connections a pool keeps open to one peer; more are closed on
+# return. The broker's exchanges with one peer are its dispatch thread's
+# push plus one pull per handler answering pull-current: in a traced
+# perfbench wire run (one peer, two clients) at most 2 were in flight.
+_IDLE_PER_PEER = 4
+
+# Linux's socket option that sends the next ACKs at once, where it exists.
+_QUICKACK = getattr(socket, "TCP_QUICKACK", None)
 
 # How each request kind travels over HTTP: verb and path template. A
 # template's {fields} are body keys; a POST carries the envelope instead.
@@ -167,10 +180,16 @@ def send_json(handler: BaseHTTPRequestHandler, status: int, payload: Any) -> Non
 
 class JsonHandler(BaseHTTPRequestHandler):
     """Base of every HTTP handler here: keep-alive HTTP/1.1, a read
-    timeout on silent sockets, and access lines at debug level."""
+    timeout on silent sockets, and access lines at debug level.
+
+    TCP_NODELAY is on, because an answer's headers and body leave in two
+    sends: with Nagle's algorithm the body would wait for the client's
+    delayed ACK of the headers, ~40 ms on a reused connection.
+    """
 
     protocol_version = "HTTP/1.1"
     timeout = READ_TIMEOUT_S
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args: Any) -> None:
         log.debug("%s - %s", self.address_string(), format % args)
@@ -183,6 +202,8 @@ class Server(ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, host: str, port: int, handler: type[BaseHTTPRequestHandler]) -> None:
+        self._open: set[socket.socket] = set()
+        self._closed = threading.Condition()
         super().__init__((host, port), handler)
         self.host, self.port = str(self.server_address[0]), int(self.server_address[1])
         self._thread = threading.Thread(
@@ -193,8 +214,29 @@ class Server(ThreadingHTTPServer):
     def base_url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._closed:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        super().shutdown_request(request)
+        with self._closed:
+            self._open.discard(request)
+            self._closed.notify_all()
+
     def stop(self) -> None:
+        """Stop accepting, then end every open connection: a request being
+        answered is finished, an idle kept-alive connection reads its end at
+        once. Returns when no handler runs (or after 5 s)."""
         self.shutdown()
+        with self._closed:
+            for request in self._open:
+                try:
+                    request.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass
+            self._closed.wait_for(lambda: not self._open, timeout=5.0)
         self.server_close()
         self._thread.join(timeout=5.0)
 
@@ -202,56 +244,126 @@ class Server(ThreadingHTTPServer):
         self.stop()
 
 
-def _request_json(
-    method: str, url: str, payload: dict[str, Any] | None, timeout: float
-) -> tuple[int, dict[str, Any]]:
-    """One HTTP exchange with JSON in and out; 4xx/5xx bodies are returned,
-    transport-level failures raise OSError."""
-    data = None
-    headers = {"Accept": "application/json"}
-    if payload is not None:
-        data = json.dumps(payload).encode("utf-8")
-        headers["Content-Type"] = "application/json"
-    request = urllib.request.Request(url, data=data, headers=headers, method=method)
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, json.loads(response.read().decode("utf-8") or "{}")
-    except urllib.error.HTTPError as exc:
-        raw = exc.read().decode("utf-8", errors="replace")
-        try:
-            return exc.code, json.loads(raw)
-        except json.JSONDecodeError:
-            return exc.code, {"kind": "error", "request_id": "",
-                              "body": {"code": "BAD_REQUEST", "message": raw[:200]}}
+class _Pool:
+    """Kept-alive HTTP/1.1 connections to many peers, the idle ones kept
+    per ``(host, port)``.
 
-
-def push_notification(
-    callback_address: str,
-    envelope: dict[str, Any],
-    retry: RetryPolicy | None = None,
-    timeout: float = 5.0,
-) -> DeliveryStatus:
-    """POST a push envelope to a consumer callback URL, with bounded retry.
-
-    Connection failures and other answers are retried, but a 4xx answer
-    drops the message at once. Returns a status instead of raising:
-    exhausted retries mean the message is dropped (and logged) rather
-    than redelivered later.
+    Each exchange takes a connection out for itself and puts it back
+    after reading the whole answer, so two threads never share one. The
+    most recently returned connection is taken first, and a connection
+    idle for longer than ``READ_TIMEOUT_S`` is closed, so the pool holds
+    about as many connections per peer as that peer has seen in flight
+    at once lately, and none to a peer it no longer reaches.
     """
-    policy = retry if retry is not None else RetryPolicy()
-    for attempt in range(1, policy.attempts + 1):
-        if attempt > 1:
-            time.sleep(policy.delay(attempt - 1))
+
+    def __init__(self, timeout: float) -> None:
+        self.timeout = timeout
+        self._lock = threading.Lock()
+        self._idle: dict[tuple[str, int], list[tuple[float, http.client.HTTPConnection]]] = {}
+        self._swept = time.monotonic()
+
+    def exchange(self, method: str, url: str, payload: dict[str, Any] | None) -> tuple[int, bytes]:
+        """One HTTP exchange with a JSON body out; the status and the raw
+        answer in. A failure closes the connection and raises, OSError for
+        the transport. Only a request whose send failed on a reused
+        connection is sent again, once, on a new one: the peer dropped that
+        connection while it was idle, so it never read the request."""
+        parts = urllib.parse.urlsplit(url)
+        if parts.scheme != "http" or not parts.hostname:
+            # Unreachable like a refused connection: a push retries, a pull fails upstream.
+            raise OSError(f"not an http URL: {url!r}")
+        peer = (parts.hostname, parts.port or 80)
+        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        body = None
+        headers = {"Accept": "application/json"}
+        if payload is not None:
+            body = json.dumps(payload).encode("utf-8")
+            headers["Content-Type"] = "application/json"
+        conn, reused = self._take(peer)
+        keep = False
         try:
-            status, _ = _request_json("POST", callback_address, envelope, timeout)
-        except (OSError, urllib.error.URLError) as exc:
-            log.debug("push attempt %d to %s failed: %s", attempt, callback_address, exc)
-            continue
-        if 200 <= status < 300:
-            return DeliveryStatus(delivered=True, attempts=attempt)
-        if 400 <= status < 500:
-            return DeliveryStatus(delivered=False, attempts=attempt)
-    return DeliveryStatus(delivered=False, attempts=policy.attempts)
+            try:
+                conn.request(method, target, body, headers)
+            except (BrokenPipeError, ConnectionResetError):
+                if not reused:
+                    raise
+                conn.close()
+                conn.request(method, target, body, headers)  # reconnects
+            if _QUICKACK is not None:
+                # A peer that writes headers and body in two sends, with
+                # Nagle on, holds the body until the headers are acked.
+                conn.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
+            response = conn.getresponse()
+            raw = response.read()
+            keep = not response.will_close
+        finally:
+            if keep:
+                self._put(peer, conn)
+            else:
+                conn.close()
+        return response.status, raw
+
+    def _take(self, peer: tuple[str, int]) -> tuple[http.client.HTTPConnection, bool]:
+        """An idle connection to ``peer`` the peer has not closed, or a new
+        one; and whether it was reused."""
+        with self._lock:
+            idle = self._idle.get(peer, [])
+            while idle:
+                _, conn = idle.pop()
+                if _alive(conn.sock):
+                    return conn, True
+                conn.close()
+        # http.client sets TCP_NODELAY on each socket it connects.
+        return http.client.HTTPConnection(*peer, timeout=self.timeout), False
+
+    def _put(self, peer: tuple[str, int], conn: http.client.HTTPConnection) -> None:
+        """Keep ``conn`` idle for ``peer``, unless ``_IDLE_PER_PEER`` wait
+        already; and, once per ``READ_TIMEOUT_S``, close every connection
+        idle for longer than that, whichever its peer."""
+        now = time.monotonic()
+        closing = []
+        with self._lock:
+            idle = self._idle.setdefault(peer, [])
+            if len(idle) < _IDLE_PER_PEER:
+                idle.append((now, conn))
+            else:
+                closing.append(conn)
+            if now - self._swept >= READ_TIMEOUT_S:
+                self._swept = now
+                for key, entries in list(self._idle.items()):
+                    kept = [entry for entry in entries if now - entry[0] < READ_TIMEOUT_S]
+                    closing += [c for since, c in entries if now - since >= READ_TIMEOUT_S]
+                    if kept:
+                        self._idle[key] = kept
+                    else:
+                        del self._idle[key]
+        for stale in closing:
+            stale.close()
+
+    def close(self) -> None:
+        """Close every idle connection; later exchanges open new ones."""
+        with self._lock:
+            idle = [conn for entries in self._idle.values() for _, conn in entries]
+            self._idle.clear()
+        for conn in idle:
+            conn.close()
+
+
+def _alive(sock: socket.socket) -> bool:
+    """Whether an idle socket can carry the next request: nothing to read
+    on it yet. The peer closed a readable one (or sent what nobody asked
+    for)."""
+    timeout = sock.gettimeout()
+    sock.settimeout(0)
+    try:
+        sock.recv(1, socket.MSG_PEEK)
+    except BlockingIOError:
+        return True
+    except OSError:
+        return False
+    finally:
+        sock.settimeout(timeout)
+    return False
 
 
 class HttpTransport:
@@ -259,21 +371,42 @@ class HttpTransport:
 
     Callback addresses are full URLs accepting POSTed envelopes; service
     addresses are URL prefixes answering ``GET <prefix>/topics/<topic>``
-    with a sample document.
+    with a sample document. Pushes and pulls share one pool of kept-alive
+    connections, closed by close().
     """
 
     def __init__(self, retry: RetryPolicy | None = None, timeout: float = 5.0) -> None:
         self.retry = retry if retry is not None else RetryPolicy()
-        self.timeout = timeout
+        self._pool = _Pool(timeout)
 
     def push(self, callback_address: str, message: dict[str, Any]) -> DeliveryStatus:
-        return push_notification(callback_address, message, self.retry, self.timeout)
+        """POST a push envelope to a consumer callback URL, with bounded retry.
+
+        Connection failures and other answers are retried, but a 4xx answer
+        drops the message at once. Returns a status instead of raising:
+        exhausted retries mean the message is dropped (and logged) rather
+        than redelivered later.
+        """
+        policy = self.retry
+        for attempt in range(1, policy.attempts + 1):
+            if attempt > 1:
+                time.sleep(policy.delay(attempt - 1))
+            try:
+                status, _ = self._pool.exchange("POST", callback_address, message)
+            except OSError as exc:
+                log.debug("push attempt %d to %s failed: %s", attempt, callback_address, exc)
+                continue
+            if 200 <= status < 300:
+                return DeliveryStatus(delivered=True, attempts=attempt)
+            if 400 <= status < 500:
+                return DeliveryStatus(delivered=False, attempts=attempt)
+        return DeliveryStatus(delivered=False, attempts=policy.attempts)
 
     def pull(self, service_address: str, topic: str) -> dict[str, Any]:
         url = service_address.rstrip("/") + fill("/topics/{topic}", {"topic": topic})
         try:
-            status, payload = _request_json("GET", url, None, self.timeout)
-        except (OSError, urllib.error.URLError) as exc:
+            status, raw = self._pool.exchange("GET", url, None)
+        except OSError as exc:
             raise errors.UpstreamUnavailable(
                 f"pull from {service_address!r} failed: {exc}"
             ) from exc
@@ -281,7 +414,10 @@ class HttpTransport:
             raise errors.UpstreamUnavailable(
                 f"pull from {service_address!r} answered HTTP {status}"
             )
-        return payload
+        return json.loads(raw or b"{}")
+
+    def close(self) -> None:
+        self._pool.close()
 
 
 class WireError(Exception):
@@ -296,17 +432,28 @@ class WireError(Exception):
 
 
 class WireClient:
-    """Thin synchronous client for the broker service endpoints."""
+    """Thin synchronous client for the broker service endpoints, over
+    kept-alive connections that close() (or leaving a ``with``) closes."""
 
     def __init__(self, base_url: str, timeout: float = 10.0) -> None:
         self.base_url = base_url.rstrip("/")
-        self.timeout = timeout
+        self._pool = _Pool(timeout)
 
     def exchange(
         self, method: str, path: str, envelope: dict[str, Any] | None = None
     ) -> dict[str, Any]:
-        """Send one request, return its response envelope (ack or raise)."""
-        _, response = _request_json(method, self.base_url + path, envelope, self.timeout)
+        """Send one request, return its response envelope (ack or raise);
+        a transport failure raises OSError."""
+        status, raw = self._pool.exchange(method, self.base_url + path, envelope)
+        if 200 <= status < 300:
+            response = json.loads(raw or b"{}")
+        else:
+            text = raw.decode("utf-8", errors="replace")
+            try:
+                response = json.loads(text)
+            except json.JSONDecodeError:
+                response = {"kind": "error", "request_id": "",
+                            "body": {"code": "BAD_REQUEST", "message": text[:200]}}
         if response.get("kind") == "error":
             raise WireError(response)
         return response
@@ -327,3 +474,12 @@ class WireClient:
 
     def find_services(self, topic: str) -> list[str]:
         return self.request("find-services", {"topic": topic})["service_ids"]
+
+    def close(self) -> None:
+        self._pool.close()
+
+    def __enter__(self) -> WireClient:
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()

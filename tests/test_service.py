@@ -5,17 +5,21 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
 import random
 import socket
 import string
+import sys
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+from ctxbroker.errors import UpstreamUnavailable
 from ctxbroker.model import IndicatorCatalog, RequirementProfile, ServiceOffer
 from ctxbroker.service import (
     ROUTES,
@@ -33,13 +37,13 @@ from ctxbroker.wire import (
     MAX_BODY_BYTES,
     PATHS,
     READ_TIMEOUT_S,
+    HttpTransport,
     RetryPolicy,
     WireClient,
     WireError,
     fill,
     make_envelope,
     match,
-    push_notification,
 )
 
 from conftest import make_offer
@@ -89,7 +93,8 @@ def endpoints():
 @pytest.fixture
 def running(threshold_catalog):
     handle = serve(config_for(threshold_catalog))
-    yield handle, WireClient(handle.base_url)
+    with WireClient(handle.base_url) as client:
+        yield handle, client
     handle.stop()
 
 
@@ -243,7 +248,7 @@ class TestPushNotification:
     def test_delivered_first_try(self):
         server, handler, url = flaky_receiver(failures=0)
         try:
-            status = push_notification(url, make_envelope("notify", {}), FAST_RETRY)
+            status = HttpTransport(retry=FAST_RETRY).push(url, make_envelope("notify", {}))
             assert status.delivered and status.attempts == 1
             assert len(handler.hits) == 1
         finally:
@@ -253,7 +258,7 @@ class TestPushNotification:
     def test_recovers_on_third_attempt(self):
         server, handler, url = flaky_receiver(failures=2)
         try:
-            status = push_notification(url, make_envelope("notify", {}), FAST_RETRY)
+            status = HttpTransport(retry=FAST_RETRY).push(url, make_envelope("notify", {}))
             assert status.delivered and status.attempts == 3
             assert len(handler.hits) == 3
         finally:
@@ -263,7 +268,7 @@ class TestPushNotification:
     def test_drops_after_bounded_retries(self):
         server, handler, url = flaky_receiver(failures=99)
         try:
-            status = push_notification(url, make_envelope("notify", {}), FAST_RETRY)
+            status = HttpTransport(retry=FAST_RETRY).push(url, make_envelope("notify", {}))
             assert not status.delivered
             assert status.attempts == FAST_RETRY.attempts
             assert len(handler.hits) == 3
@@ -274,7 +279,7 @@ class TestPushNotification:
     def test_4xx_answer_is_dropped_without_retry(self):
         server, handler, url = flaky_receiver(failures=99, status=404)
         try:
-            status = push_notification(url, make_envelope("notify", {}), FAST_RETRY)
+            status = HttpTransport(retry=FAST_RETRY).push(url, make_envelope("notify", {}))
             assert not status.delivered
             assert status.attempts == 1
             assert len(handler.hits) == 1
@@ -289,13 +294,258 @@ class TestPushNotification:
         probe.bind(("127.0.0.1", 0))
         port = probe.getsockname()[1]
         probe.close()
-        status = push_notification(
+        status = HttpTransport(retry=RetryPolicy(attempts=2, backoff_initial=0.01)).push(
             f"http://127.0.0.1:{port}/hook",
             make_envelope("notify", {}),
-            RetryPolicy(attempts=2, backoff_initial=0.01),
         )
         assert not status.delivered
         assert status.attempts == 2
+
+
+class _CountingServer(ThreadingHTTPServer):
+    """A loopback receiver that counts the connections it accepts and keeps
+    each POST body. A POST is answered 200 with ``answer``; None reads it
+    and closes the connection unanswered."""
+
+    daemon_threads = True
+
+    def __init__(self, handler):
+        super().__init__(("127.0.0.1", 0), handler)
+        self.url = "http://127.0.0.1:%d" % self.server_address[1]
+        self.connections = 0  # written by the serving thread only
+        self.closed = []  # one entry per connection its handler has ended
+        self.posts = []
+        self.answer = b"{}"
+
+    def process_request(self, request, client_address):
+        self.connections += 1
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        super().shutdown_request(request)
+        self.closed.append(request)
+
+
+class _Receiver(BaseHTTPRequestHandler):
+    """Plain stdlib HTTP/1.1 with Nagle's algorithm on: an answer's headers
+    and body leave in two sends. A GET answers ``{"topic": <last segment>}``."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        self.server.posts.append(self.rfile.read(int(self.headers["Content-Length"])))
+        if self.server.answer is None:
+            self.close_connection = True
+            return
+        self._reply(self.server.answer)
+
+    def do_GET(self):
+        topic = urllib.parse.unquote(self.path.rsplit("/", 1)[-1])
+        self._reply(json.dumps({"topic": topic}).encode())
+
+    def _reply(self, data):
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def receiver():
+    """Start a _CountingServer with the given handler; stopped after the test."""
+    servers = []
+
+    def start(handler=_Receiver):
+        server = _CountingServer(handler)
+        threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+        servers.append(server)
+        return server
+
+    yield start
+    for server in servers:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.fixture
+def transport():
+    transport = HttpTransport(retry=FAST_RETRY)
+    yield transport
+    transport.close()
+
+
+class TestConnectionPool:
+    def test_pushes_reuse_one_connection(self, receiver, transport):
+        server = receiver()
+        for i in range(20):
+            status = transport.push(server.url + "/hook", make_envelope("notify", {"i": i}))
+            assert status.delivered and status.attempts == 1
+        assert [json.loads(p)["body"]["i"] for p in server.posts] == list(range(20))
+        assert server.connections == 1
+
+    def test_wire_client_reuses_one_connection(self, running):
+        handle, _ = running
+        accepted = []
+        process_request = handle.process_request
+
+        def counted(request, client_address):
+            accepted.append(client_address)
+            process_request(request, client_address)
+
+        handle.process_request = counted
+        with WireClient(handle.base_url) as client:
+            for _ in range(20):
+                assert client.request("find-services", {"topic": "location"}) == {
+                    "service_ids": []}
+        assert len(accepted) == 1
+
+    @pytest.mark.skipif(getattr(socket, "TCP_QUICKACK", None) is None,
+                        reason="the ACK of a reused connection is delayed without TCP_QUICKACK")
+    def test_no_delayed_ack_stall_on_a_reused_connection(self, receiver, transport):
+        server = receiver()
+        transport.push(server.url + "/hook", make_envelope("notify", {}))
+        started = time.monotonic()
+        for _ in range(50):
+            assert transport.push(server.url + "/hook", make_envelope("notify", {})).delivered
+        # A stall of ~40 ms per push would take 2 s or more.
+        assert time.monotonic() - started < 1.0
+        assert server.connections == 1
+
+    def test_broker_answers_a_reused_connection_without_stall(self, running):
+        handle, _ = running
+        conn = http.client.HTTPConnection(handle.host, handle.port, timeout=5)
+        try:
+            started = time.monotonic()
+            for _ in range(50):
+                conn.request("GET", "/topics/location/services")
+                assert conn.getresponse().read()
+            # Nagle's algorithm on the broker's socket would hold each answer's
+            # body for the delayed ACK of its headers: 2 s or more in all.
+            assert time.monotonic() - started < 1.0
+        finally:
+            conn.close()
+
+    def test_push_after_the_peer_dropped_the_idle_connection(self, receiver, transport):
+        server = receiver(type("IdleClosing", (_Receiver,), {"timeout": 0.2}))
+        assert transport.push(server.url + "/hook", make_envelope("notify", {"i": 0})).delivered
+        time.sleep(0.5)
+        status = transport.push(server.url + "/hook", make_envelope("notify", {"i": 1}))
+        assert status.delivered and status.attempts == 1
+        assert [json.loads(p)["body"]["i"] for p in server.posts] == [0, 1]
+        assert server.connections == 2
+
+    def test_wire_client_after_the_broker_dropped_the_idle_connection(
+            self, running, monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", 0.2)
+        handle, _ = running
+        with WireClient(handle.base_url) as client:
+            assert client.request("find-services", {"topic": "location"}) == {"service_ids": []}
+            time.sleep(0.5)
+            assert client.request("find-services", {"topic": "location"}) == {"service_ids": []}
+
+    def test_unanswered_push_is_sent_once_per_attempt(self, receiver, transport):
+        server = receiver()
+        assert transport.push(server.url + "/hook", make_envelope("notify", {})).delivered
+        server.answer = None  # the kept-alive connection now reads and closes
+        status = transport.push(server.url + "/hook", make_envelope("notify", {}))
+        assert not status.delivered and status.attempts == FAST_RETRY.attempts
+        assert len(server.posts) == 1 + FAST_RETRY.attempts
+
+    def test_push_answer_body_need_not_be_json(self, receiver, transport):
+        server = receiver()
+        server.answer = b"ok"
+        status = transport.push(server.url + "/hook", make_envelope("notify", {}))
+        assert status.delivered and status.attempts == 1
+
+    def test_threads_get_their_own_answers(self, receiver, transport):
+        server = receiver()
+        answers = []
+
+        def pull_many(thread):
+            for k in range(25):
+                topic = f"t{thread}-{k}"
+                answers.append((topic, transport.pull(server.url, topic)["topic"]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=pull_many, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=20)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(answers) == 100
+        assert all(asked == answered for asked, answered in answers)
+        assert server.connections <= 4
+
+    def test_idle_connection_on_a_high_descriptor_is_reused(
+            self, receiver, transport, monkeypatch):
+        high = 1500
+        resource = pytest.importorskip("resource")
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] <= high:
+            pytest.skip(f"descriptor {high} is above this process's limit")
+        try:
+            os.fstat(high)
+            pytest.skip(f"descriptor {high} is taken")
+        except OSError:
+            pass
+        connect = socket.create_connection
+
+        def connect_high(*args, **kwargs):
+            # Past FD_SETSIZE (1024), which select.select cannot watch.
+            sock = connect(*args, **kwargs)
+            moved = socket.socket(fileno=os.dup2(sock.fileno(), high))
+            moved.settimeout(sock.gettimeout())
+            sock.close()
+            return moved
+
+        monkeypatch.setattr(socket, "create_connection", connect_high)
+        server = receiver()
+        for i in range(2):
+            status = transport.push(server.url + "/hook", make_envelope("notify", {"i": i}))
+            assert status.delivered and status.attempts == 1
+        assert len(server.posts) == 2
+        assert server.connections == 1
+
+    def test_idle_connections_close_after_the_read_timeout(
+            self, receiver, transport, monkeypatch):
+        monkeypatch.setattr("ctxbroker.wire.READ_TIMEOUT_S", 0.2)
+        gone, other = receiver(), receiver()
+        assert transport.push(gone.url + "/hook", make_envelope("notify", {})).delivered
+        time.sleep(0.3)
+        assert transport.push(other.url + "/hook", make_envelope("notify", {})).delivered
+        deadline = time.monotonic() + 5
+        while not gone.closed and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert len(gone.closed) == 1
+        assert not other.closed
+
+    def test_non_http_address_fails_like_a_refused_connection(self, transport):
+        status = transport.push("cb://app-1", make_envelope("notify", {}))
+        assert not status.delivered and status.attempts == FAST_RETRY.attempts
+        with pytest.raises(UpstreamUnavailable):
+            transport.pull("svc://a", "location")
+
+    def test_request_after_stop_is_refused(self, threshold_catalog, threshold_profile, tmp_path):
+        handle = serve(config_for(threshold_catalog, tmp_path))
+        body = {"consumer_id": "app-1", "profile": threshold_profile.to_dict(),
+                "callback_address": "cb://app-1"}
+        with WireClient(handle.base_url) as client:
+            assert client.request("subscribe", body) == {"subscription_id": "sub-1"}
+            started = time.monotonic()
+            handle.stop()
+            # The kept-alive connection ends with the server, not READ_TIMEOUT_S later.
+            assert time.monotonic() - started < READ_TIMEOUT_S / 2
+            persisted = (tmp_path / "state.json").read_bytes()
+            with pytest.raises(OSError):
+                client.request("subscribe", body)
+        assert (tmp_path / "state.json").read_bytes() == persisted
 
 
 class TestHttpEndpoints:
@@ -538,11 +788,11 @@ class TestHttpEndpoints:
             status, payload = http_json("POST", handle.base_url + "/subscriptions",
                                         make_envelope("subscribe", body))
             assert (status, payload["body"]["code"]) == (500, "INTERNAL")
-            client = WireClient(handle.base_url)
-            assert client.request("find-consumers", {"topic": "location"}) == {
-                "subscription_ids": []}
-            blocker.unlink()
-            assert client.request("subscribe", body) == {"subscription_id": "sub-1"}
+            with WireClient(handle.base_url) as client:
+                assert client.request("find-consumers", {"topic": "location"}) == {
+                    "subscription_ids": []}
+                blocker.unlink()
+                assert client.request("subscribe", body) == {"subscription_id": "sub-1"}
 
     def test_unknown_route_is_not_found(self, running):
         handle, _ = running
@@ -745,6 +995,7 @@ class TestPersistence:
             t.start()
         for t in threads:
             t.join()
+        client.close()
         handle.stop()
         assert not failures
         restored = BrokerService(config, transport=RecordingTransport())
