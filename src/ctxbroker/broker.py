@@ -10,8 +10,9 @@ selection.
 
 Each registry mutation is written ahead: under the lock it is first
 handed as one record to the journal hook, if there is one, and applied
-only when the hook returns. ``replay`` applies such a record through the
-same code, without pushes, to rebuild the state after a restart.
+only when the hook returns. After a restart, ``restore_state`` applies
+the base snapshot's entries and ``replay`` each such record through the
+same code, without pushes.
 
 Only the currently selected service's publications reach a subscriber.
 Publications from other services still land in the topic cache, but are
@@ -182,7 +183,6 @@ class ContextBroker:
         self,
         catalog: IndicatorCatalog,
         transport: Transport | None = None,
-        clock: Callable[[], int] | None = None,
         journal: Callable[[dict[str, Any]], None] | None = None,
     ) -> None:
         """``journal``, when given, is called under the lock with each
@@ -190,7 +190,6 @@ class ContextBroker:
         raises, the mutation changes nothing."""
         self.catalog = catalog
         self._transport = transport if transport is not None else NullTransport()
-        self._clock = clock if clock is not None else _now_ms
         self._lock = threading.RLock()
         self._subscriptions: dict[str, Subscription] = {}
         self._registrations: dict[str, Registration] = {}
@@ -222,7 +221,7 @@ class ContextBroker:
                 consumer_id=consumer_id,
                 profile=profile,
                 callback_address=callback_address,
-                created_at=self._clock(),
+                created_at=_now_ms(),
             )
             if self._journal is not None:
                 self._journal(self._record(
@@ -240,7 +239,7 @@ class ContextBroker:
             self._get_subscription(subscription_id)
             if self._journal is not None:
                 self._journal(self._record(
-                    "unsubscribe", self._clock(), subscription_id=subscription_id))
+                    "unsubscribe", _now_ms(), subscription_id=subscription_id))
             self._remove_subscription(subscription_id)
 
     def register_context_service(self, offer: ServiceOffer, service_address: str) -> str:
@@ -257,7 +256,7 @@ class ContextBroker:
                 registration_id=f"reg-{self._next_reg}",
                 offer=offer,
                 service_address=service_address,
-                created_at=self._clock(),
+                created_at=_now_ms(),
             )
             if self._journal is not None:
                 self._journal(self._record(
@@ -276,7 +275,7 @@ class ContextBroker:
                 raise errors.NotFound(f"unknown registration {registration_id!r}")
             if self._journal is not None:
                 self._journal(self._record(
-                    "deregister", self._clock(),
+                    "deregister", _now_ms(),
                     registration_id=registration_id, service_id=reg.offer.service_id))
             self._remove_registration(reg, push=True)
 
@@ -456,45 +455,42 @@ class ContextBroker:
     def restore_state(self, state: dict[str, Any]) -> None:
         """Rebuild registries from a snapshot taken by :meth:`snapshot_state`.
 
-        Must be called on a fresh broker. Decisions are recomputed from
-        the restored offers; revisions are restored as persisted. An offer
-        or profile that does not fit the catalog, or a repeated service,
-        registration or subscription id, raises ValueError.
+        Must be called on a fresh broker. Each registration, then each
+        subscription, goes through the apply path that live mutations and
+        :meth:`replay` share, without pushes, so decisions are recomputed
+        from the restored offers; the persisted revisions and the id and
+        ``seq`` counters are set afterwards. An offer or profile that does
+        not fit the catalog, or a repeated service, registration or
+        subscription id, raises ValueError.
         """
         with self._lock:
             if self._subscriptions or self._registrations:
                 raise RuntimeError("restore_state requires an empty broker")
-            self._next_sub = int(state["next_sub"])
-            self._next_reg = int(state["next_reg"])
-            self._seq = int(state["seq"])
             for entry in state["registrations"]:
                 offer = self._fitting_offer(entry["offer"])
                 if entry["registration_id"] in self._registrations:
                     raise ValueError(f"registration {entry['registration_id']!r} repeats")
-                reg = Registration(
+                self._add_registration(Registration(
                     registration_id=entry["registration_id"],
                     offer=offer,
                     service_address=entry["service_address"],
                     created_at=int(entry["created_at"]),
-                )
-                self._registrations[reg.registration_id] = reg
-                self._service_registration[offer.service_id] = reg.registration_id
+                ), push=False)
             for entry in state["subscriptions"]:
                 profile = self._fitting_profile(entry["profile"], entry["subscription_id"])
                 if entry["subscription_id"] in self._subscriptions:
                     raise ValueError(f"subscription {entry['subscription_id']!r} repeats")
-                sub = Subscription(
+                self._add_subscription(Subscription(
                     subscription_id=entry["subscription_id"],
                     consumer_id=entry["consumer_id"],
                     profile=profile,
                     callback_address=entry["callback_address"],
                     created_at=int(entry["created_at"]),
-                )
-                self._subscriptions[sub.subscription_id] = sub
-                decision = build_decision_matrix(self._live_offers(), profile)
-                self._selection[sub.subscription_id] = SelectionState(
-                    decision, revision=int(entry["revision"])
-                )
+                ), push=False)
+                self._selection[entry["subscription_id"]].revision = int(entry["revision"])
+            self._next_sub = int(state["next_sub"])
+            self._next_reg = int(state["next_reg"])
+            self._seq = int(state["seq"])
 
     def replay(self, record: dict[str, Any]) -> None:
         """Apply one journal record as the mutation that wrote it did,
@@ -569,8 +565,9 @@ class ContextBroker:
             raise ValueError(f"profile of {subscription_id!r}: {result.reason}")
         return profile
 
-    # The apply path: live mutations (push=True) and replay (push=False)
-    # change the registries, the id counters and ``seq`` only here.
+    # The apply path: live mutations (push=True), replay and restore
+    # (push=False) change the registries, the id counters and ``seq`` only
+    # here; restore then sets the counters the snapshot recorded.
 
     def _add_subscription(self, sub: Subscription, push: bool) -> None:
         self._seq += 1

@@ -138,12 +138,7 @@ class BrokerService:
     directly.
     """
 
-    def __init__(
-        self,
-        config: ServiceConfig,
-        transport: Transport | None = None,
-        clock: Callable[[], int] | None = None,
-    ) -> None:
+    def __init__(self, config: ServiceConfig, transport: Transport | None = None) -> None:
         self.config = config
         # Without a persist path there is no journal: the broker builds no records.
         self._journal = None if config.persist_path is None else Journal()
@@ -154,7 +149,7 @@ class BrokerService:
         self._own_transport = None
         if transport is None:
             transport = self._own_transport = wire.HttpTransport(retry=config.retry)
-        self.broker = ContextBroker(config.catalog, transport=transport, clock=clock,
+        self.broker = ContextBroker(config.catalog, transport=transport,
                                     journal=None if self._journal is None else self._append)
         if state is not None:
             try:
@@ -386,11 +381,7 @@ class ServiceHandle(wire.Server):
         self.service.close()
 
 
-def serve(
-    config: ServiceConfig,
-    transport: Transport | None = None,
-    clock: Callable[[], int] | None = None,
-) -> ServiceHandle:
+def serve(config: ServiceConfig, transport: Transport | None = None) -> ServiceHandle:
     """Start the broker service on the configured address.
 
     State is restored from the persistence file when one exists; a
@@ -401,7 +392,7 @@ def serve(
         getattr(logging, config.log_level.upper(), logging.INFO)
     )
     host, port = config.host_port()
-    service = BrokerService(config, transport=transport, clock=clock)
+    service = BrokerService(config, transport=transport)
     try:
         return ServiceHandle(service, host, port)
     except OSError:

@@ -431,15 +431,6 @@ class _SimEndpoints:
 # -- runner -----------------------------------------------------------------
 
 
-class _Clock:
-    """The scenario's virtual time, read by an in-process broker."""
-
-    now = 0
-
-    def __call__(self) -> int:
-        return self.now
-
-
 def run(scenario: Scenario, mode: str = "in-process") -> RunReport:
     """Execute a scenario and report exact selection/delivery counts.
 
@@ -452,12 +443,11 @@ def run(scenario: Scenario, mode: str = "in-process") -> RunReport:
     if mode not in ("in-process", "over-wire"):
         raise ValueError(f"unknown mode {mode!r}")
     endpoints = _SimEndpoints(scenario)
-    clock = _Clock()
     started = time.monotonic()
     with contextlib.ExitStack() as stack:
         stack.callback(endpoints.stop)
         if mode == "in-process":
-            service = BrokerService(ServiceConfig(scenario.catalog), transport=endpoints, clock=clock)
+            service = BrokerService(ServiceConfig(scenario.catalog), transport=endpoints)
             stack.callback(service.close)
 
             def send(kind: str, body: dict[str, Any]) -> dict[str, Any]:
@@ -473,7 +463,7 @@ def run(scenario: Scenario, mode: str = "in-process") -> RunReport:
             )
             handle = stack.enter_context(serve(config))
             send = stack.enter_context(wire.WireClient(handle.base_url)).request
-        report = _execute(scenario, endpoints, send, clock)
+        report = _execute(scenario, endpoints, send)
     report.meta = {
         "mode": mode,
         "seed": scenario.seed,
@@ -486,7 +476,6 @@ def _execute(
     scenario: Scenario,
     endpoints: _SimEndpoints,
     send: Callable[[str, dict[str, Any]], dict[str, Any]],
-    clock: _Clock,
 ) -> RunReport:
     """Play the timeline through ``send(kind, body) -> ack body``; an error
     answer raises WireError."""
@@ -508,7 +497,6 @@ def _execute(
                     history.append(selected)
 
     for event in scenario.timeline:
-        clock.now = event.at
         if event.action == "register":
             registrations[event.service_id] = send("register", {
                 "offer": offers[event.service_id].to_dict(),
@@ -679,6 +667,11 @@ def generate_random_scenario(
         at += rng.randint(1, 5)
         return at
 
+    def pull_event() -> ScenarioEvent:
+        consumer_id = rng.choice(subscribed)
+        return ScenarioEvent(at=advance(), action="pull", consumer_id=consumer_id,
+                             topic=rng.choice(profiles_by_id[consumer_id].topics))
+
     for service_id in list(inactive):
         timeline.append(ScenarioEvent(at=advance(), action="register", service_id=service_id))
         inactive.remove(service_id)
@@ -701,14 +694,7 @@ def generate_random_scenario(
                 )
             )
         elif roll < 0.80 and subscribed:
-            consumer_id = rng.choice(subscribed)
-            profile = profiles_by_id[consumer_id]
-            timeline.append(
-                ScenarioEvent(
-                    at=advance(), action="pull", consumer_id=consumer_id,
-                    topic=rng.choice(profile.topics),
-                )
-            )
+            timeline.append(pull_event())
         elif roll < 0.90 and registered:
             service_id = rng.choice(registered)
             timeline.append(
@@ -724,14 +710,7 @@ def generate_random_scenario(
             inactive.remove(service_id)
             registered.append(service_id)
         elif subscribed:
-            consumer_id = rng.choice(subscribed)
-            profile = profiles_by_id[consumer_id]
-            timeline.append(
-                ScenarioEvent(
-                    at=advance(), action="pull", consumer_id=consumer_id,
-                    topic=rng.choice(profile.topics),
-                )
-            )
+            timeline.append(pull_event())
 
     return Scenario(
         seed=seed,

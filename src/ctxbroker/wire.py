@@ -61,6 +61,10 @@ MAX_BODY_BYTES = 1 << 20
 # between keep-alive requests, before it drops the connection.
 READ_TIMEOUT_S = 10.0
 
+# Seconds an HttpTransport, and a WireClient, wait on a peer's socket.
+TRANSPORT_TIMEOUT_S = 5.0
+CLIENT_TIMEOUT_S = 10.0
+
 # Idle connections a pool keeps open to one peer; more are closed on
 # return. The broker's exchanges with one peer are its dispatch thread's
 # push plus one pull per handler answering pull-current: in a traced
@@ -375,9 +379,9 @@ class HttpTransport:
     connections, closed by close().
     """
 
-    def __init__(self, retry: RetryPolicy | None = None, timeout: float = 5.0) -> None:
+    def __init__(self, retry: RetryPolicy | None = None) -> None:
         self.retry = retry if retry is not None else RetryPolicy()
-        self._pool = _Pool(timeout)
+        self._pool = _Pool(TRANSPORT_TIMEOUT_S)
 
     def push(self, callback_address: str, message: dict[str, Any]) -> DeliveryStatus:
         """POST a push envelope to a consumer callback URL, with bounded retry.
@@ -406,15 +410,15 @@ class HttpTransport:
         url = service_address.rstrip("/") + fill("/topics/{topic}", {"topic": topic})
         try:
             status, raw = self._pool.exchange("GET", url, None)
-        except OSError as exc:
+            if status == 200:
+                return json.loads(raw or b"{}")
+        except (OSError, ValueError) as exc:  # unreachable, or an answer that is not JSON
             raise errors.UpstreamUnavailable(
                 f"pull from {service_address!r} failed: {exc}"
             ) from exc
-        if status != 200:
-            raise errors.UpstreamUnavailable(
-                f"pull from {service_address!r} answered HTTP {status}"
-            )
-        return json.loads(raw or b"{}")
+        raise errors.UpstreamUnavailable(
+            f"pull from {service_address!r} answered HTTP {status}"
+        )
 
     def close(self) -> None:
         self._pool.close()
@@ -435,9 +439,9 @@ class WireClient:
     """Thin synchronous client for the broker service endpoints, over
     kept-alive connections that close() (or leaving a ``with``) closes."""
 
-    def __init__(self, base_url: str, timeout: float = 10.0) -> None:
+    def __init__(self, base_url: str) -> None:
         self.base_url = base_url.rstrip("/")
-        self._pool = _Pool(timeout)
+        self._pool = _Pool(CLIENT_TIMEOUT_S)
 
     def exchange(
         self, method: str, path: str, envelope: dict[str, Any] | None = None

@@ -353,6 +353,13 @@ class _Receiver(BaseHTTPRequestHandler):
         pass
 
 
+class _NotJsonGet(_Receiver):
+    """A service whose pull-through answer is 200 with a body that is not JSON."""
+
+    def do_GET(self):
+        self._reply(b"ok")
+
+
 @pytest.fixture
 def receiver():
     """Start a _CountingServer with the given handler; stopped after the test."""
@@ -593,6 +600,24 @@ class TestHttpEndpoints:
         client.request("unsubscribe", {"subscription_id": sub})
         client.request("deregister", {"registration_id": reg})
         assert client.find_services("location") == []
+
+    def test_pull_through_answer_that_is_not_json_is_upstream_unavailable(
+        self, running, receiver, threshold_profile
+    ):
+        handle, client = running
+        server = receiver(_NotJsonGet)
+        client.request("register", {
+            "offer": make_offer("cs-a", 0.9, 0.95, 0.99).to_dict(),
+            "service_address": server.url + "/svc",
+        })
+        sub = client.request("subscribe", {
+            "consumer_id": "app-1", "profile": threshold_profile.to_dict(),
+            "callback_address": "cb://app-1",
+        })["subscription_id"]
+        path = fill(PATHS["pull-current"][1], {"subscription_id": sub, "topic": "location"})
+        status, payload = http_json("GET", handle.base_url + path)
+        assert (status, payload["body"]["code"]) == (502, "UPSTREAM_UNAVAILABLE")
+        assert server.url in payload["body"]["message"]
 
     def test_error_codes_and_http_status(self, running):
         handle, client = running
@@ -874,19 +899,34 @@ class TestPersistence:
                 BrokerService(config_for(threshold_catalog, tmp_path), transport=RecordingTransport())
         assert dispatch_threads() == before
 
-    def test_snapshot_naming_a_service_twice_refuses_startup(self, threshold_catalog, tmp_path):
+    @pytest.mark.parametrize("repeated, named", [
+        ("service", "cs-a"), ("registration_id", "reg-1"), ("subscription_id", "sub-1")],
+        ids=["service", "registration_id", "subscription_id"])
+    def test_snapshot_naming_a_service_twice_refuses_startup(
+        self, threshold_catalog, threshold_profile, tmp_path, repeated, named
+    ):
         config = config_for(threshold_catalog, tmp_path)
         first = BrokerService(config, transport=RecordingTransport())
         first.handle_request(make_envelope("register", {
             "offer": make_offer("cs-a", 0.9, 0.95, 0.99).to_dict(), "service_address": "svc://a"}))
+        first.handle_request(make_envelope("subscribe", {
+            "consumer_id": "app-1", "profile": threshold_profile.to_dict(),
+            "callback_address": "cb://app-1"}))
         first.close()
         state = load_snapshot(config.persist_path)
-        state["registrations"].append(dict(state["registrations"][0], registration_id="reg-9"))
+        registration = state["registrations"][0]
+        if repeated == "service":
+            state["registrations"].append(dict(registration, registration_id="reg-9"))
+        elif repeated == "registration_id":
+            other = make_offer("cs-b", 0.9, 0.95, 0.99).to_dict()
+            state["registrations"].append(dict(registration, offer=other))
+        else:
+            state["subscriptions"].append(dict(state["subscriptions"][0]))
         save_snapshot(config.persist_path, state)
         before = dispatch_threads()
         with pytest.raises(SnapshotError) as excinfo:
             BrokerService(config, transport=RecordingTransport())
-        assert "state.json" in str(excinfo.value) and "cs-a" in str(excinfo.value)
+        assert "state.json" in str(excinfo.value) and named in str(excinfo.value)
         assert dispatch_threads() == before
 
     def test_snapshot_of_another_catalog_refuses_startup(
@@ -1044,7 +1084,7 @@ def random_requests(rng, catalog, count=12):
     return requests
 
 
-def apply_requests(service, requests):
+def apply_requests(service, requests, consumer_id="app"):
     for kind, payload in requests:
         if kind == "register":
             service.handle_request(
@@ -1054,7 +1094,8 @@ def apply_requests(service, requests):
             service.handle_request(
                 make_envelope(
                     "subscribe",
-                    {"consumer_id": "app", "profile": payload, "callback_address": "cb://x"},
+                    {"consumer_id": consumer_id, "profile": payload,
+                     "callback_address": "cb://x"},
                 )
             )
         elif kind == "deregister":
@@ -1093,8 +1134,11 @@ class TestCrashRestartEquivalence:
         service = BrokerService(config, transport=RecordingTransport())
         expected = [durable_state(service, topics)]
         files = []
-        for n, request in enumerate(random_requests(rng, catalog, count=16), start=1):
-            apply_requests(service, [request])
+        requests = [(request, "app") for request in random_requests(rng, catalog, count=16)]
+        # The last record names a consumer whose id is not ASCII.
+        requests.append((("subscribe", random_profile(rng, catalog, 2).to_dict()), "app-\u00f1"))
+        for n, (request, consumer_id) in enumerate(requests, start=1):
+            apply_requests(service, [request], consumer_id)
             assert service.broker.snapshot_state()["seq"] == n
             expected.append(durable_state(service, topics))
             files.append(config.persist_path.read_bytes())
@@ -1121,6 +1165,14 @@ class TestCrashRestartEquivalence:
                 assert durable_state(restarted, topics) == expected[n - data[cut:].count(b"\n")]
                 crash(restarted)
                 restarts += 1
+            if n == len(files):
+                # Records stay ASCII, so no cut lands inside a character, and
+                # a cut of the last record at any byte restarts to before it.
+                assert data.isascii()
+                for cut in range(boundaries[-2] + 1, len(data)):
+                    torn = restart(data[:cut])
+                    assert durable_state(torn, topics) == expected[n - 1]
+                    crash(torn)
             torn = restart(data[:-7])
             assert durable_state(torn, topics) == expected[n - 1]
             # The next append cuts the torn line off before it writes.
@@ -1133,6 +1185,56 @@ class TestCrashRestartEquivalence:
             load_snapshot(copy, journal)
             assert journal.records == []  # close() compacted the journal into the base
         assert restarts > 2 * len(files)
+
+    def test_failed_compaction_changes_nothing_and_is_retried(self, tmp_path, monkeypatch):
+        rng = random.Random(7)
+        catalog = IndicatorCatalog(("q1", "q2"), ("s1",))
+        topics = ["t1", "t2"]
+        config = ServiceConfig(catalog=catalog, persist_path=tmp_path / "s.json", retry=FAST_RETRY)
+        service = BrokerService(config, transport=RecordingTransport())
+
+        def subscribe():
+            return service.handle_request(make_envelope("subscribe", {
+                "consumer_id": "app", "profile": random_profile(rng, catalog, 2).to_dict(),
+                "callback_address": "cb://x"}))
+
+        def journal_outgrew_base():
+            journal = Journal()
+            load_snapshot(config.persist_path, journal)
+            return journal.tail_bytes > journal.base_bytes
+
+        def crash_restart_state():
+            copy = tmp_path / "copy" / "s.json"
+            copy.parent.mkdir(exist_ok=True)
+            copy.write_bytes(config.persist_path.read_bytes())
+            restarted = BrokerService(
+                ServiceConfig(catalog=catalog, persist_path=copy, retry=FAST_RETRY),
+                transport=RecordingTransport())
+            state = durable_state(restarted, topics)
+            crash(restarted)
+            return state
+
+        for _ in range(3):
+            assert subscribe()["kind"] == "ack"
+        while not journal_outgrew_base():  # the next mutation compacts first
+            assert subscribe()["kind"] == "ack"
+        before = durable_state(service, topics)
+
+        def full_disk(path, state):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr("ctxbroker.service.save_snapshot", full_disk)
+        assert subscribe()["body"]["code"] == "INTERNAL"
+        assert durable_state(service, topics) == before
+        assert crash_restart_state() == before
+        monkeypatch.undo()
+        assert subscribe()["kind"] == "ack"  # retries the compaction, then appends
+        assert not journal_outgrew_base()
+        after = durable_state(service, topics)
+        assert after != before
+        assert crash_restart_state() == after
+        service.close()
+
     def test_interleavings_smoke(self, tmp_path):
         rng = random.Random(99)
         catalog = IndicatorCatalog(("q1", "q2"), ("s1",))
