@@ -8,6 +8,16 @@ is immediate and synchronous on any registry change; publications never
 trigger reselection, because offers rather than observed values drive
 selection.
 
+Selection is kept incrementally. Each subscription stores, per profile
+topic, its winner and the top feasible score (``SelectionState``), and
+two indexes route by it: topic -> subscriptions, and (topic, service) ->
+the subscriptions selecting that service now, in admission order. A
+register or deregister scores only the one offer against each
+subscription's top; it re-ranks a topic over the live offers only when
+the offer lands within ``TIE_TOLERANCE`` of the top or took the winner
+away. The result always equals a flat ``build_decision_matrix`` over the
+live offers, which ``get_decision`` builds on demand.
+
 Each registry mutation is written ahead: under the lock it is first
 handed as one record to the journal hook, if there is one, and applied
 only when the hook returns. After a restart, ``restore_state`` applies
@@ -22,9 +32,11 @@ operational force.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import threading
 import time
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol
@@ -40,11 +52,13 @@ from .model import (
     validate_profile,
 )
 from .selection import (
+    TIE_TOLERANCE,
     DecisionMatrix,
     build_decision_matrix,
     qoc_feasible,
     qos_feasible,
-    renegotiation_report,
+    rank_topic,
+    score,
 )
 from .wire import DeliveryStatus, make_envelope
 
@@ -91,15 +105,21 @@ class Registration:
     created_at: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class SelectionState:
-    """A subscription's current decision matrix; revision bumps on change."""
+    """A subscription's selection: one ``(winner or None, top)`` pair per
+    profile topic, in profile order, where ``top`` is the highest feasible
+    score (-inf for none; the winner, the smallest id within
+    ``TIE_TOLERANCE`` of it, may score lower).
 
-    decision: DecisionMatrix
+    ``revision`` counts the changes of the subscription's decision matrix:
+    it starts at 1 and bumps on each register or deregister of an offer
+    that meets the profile's QoS floors, since such an offer adds or
+    removes a matrix column. A bump makes a new state.
+    """
+
+    winners: tuple[tuple[str | None, float], ...]
     revision: int
-
-    def selected_for(self, topic: TopicId) -> str | None:
-        return self.decision.selected_for(topic)
 
 
 class _Dispatcher:
@@ -195,6 +215,13 @@ class ContextBroker:
         self._registrations: dict[str, Registration] = {}
         self._service_registration: dict[str, str] = {}
         self._selection: dict[str, SelectionState] = {}
+        # topic -> subscriptions with the topic, in admission order
+        self._consumers: dict[TopicId, dict[str, Subscription]] = {}
+        # (topic, service id) -> (admission number, subscription) of the
+        # subscriptions selecting that service for the topic, sorted
+        self._routes: dict[tuple[TopicId, str], list[tuple[int, Subscription]]] = {}
+        self._admitted: dict[str, int] = {}
+        self._admissions = itertools.count()
         self._cache: dict[tuple[TopicId, str], ContextSample] = {}
         self._journal = journal
         self._next_sub = 1
@@ -304,24 +331,20 @@ class ContextBroker:
                     f"timestamp regression for {service_id!r}/{sample.topic!r}"
                 )
             self._cache[key] = sample
-            for sub in self._subscriptions.values():
-                state = self._selection[sub.subscription_id]
-                if sample.topic in sub.profile.topics and (
-                    state.selected_for(sample.topic) == service_id
-                ):
-                    self._enqueue_notification(sub, sample)
+            for _, sub in self._routes.get(key, ()):
+                self._enqueue_notification(sub, sample)
 
     def get_current_topic_value(self, subscription_id: str, topic: TopicId) -> ContextSample:
         """Pull a fresh sample from the subscription's selected provider."""
         with self._lock:
             sub = self._get_subscription(subscription_id)
             self._require_subscribed(sub, topic)
-            state = self._selection[subscription_id]
-            selected = state.selected_for(topic)
+            winners = self._selection[subscription_id].winners
+            selected = winners[sub.profile.topic_index(topic)][0]
             if selected is None:
                 raise errors.NoProvider(
                     f"no admissible service for topic {topic!r}",
-                    topics=renegotiation_report(state.decision),
+                    topics=_unprovisioned(sub.profile, winners),
                 )
             reg = self._registrations[self._service_registration[selected]]
             address = reg.service_address
@@ -355,7 +378,7 @@ class ContextBroker:
         with self._lock:
             sub = self._get_subscription(subscription_id)
             self._require_subscribed(sub, topic)
-            selected = self._selection[subscription_id].selected_for(topic)
+            selected = self._selection[subscription_id].winners[sub.profile.topic_index(topic)][0]
             if selected is not None:
                 sample = self._cache.get((topic, selected))
                 if sample is not None:
@@ -381,11 +404,7 @@ class ContextBroker:
     def find_context_consumers(self, topic: TopicId) -> list[str]:
         """Live subscriptions whose profile includes the topic, in admission order."""
         with self._lock:
-            return [
-                sub.subscription_id
-                for sub in self._subscriptions.values()
-                if topic in sub.profile.topics
-            ]
+            return list(self._consumers.get(topic, ()))
 
     def find_context_services(self, topic: TopicId) -> list[str]:
         """Live registrations offering the topic, in admission order."""
@@ -405,9 +424,10 @@ class ContextBroker:
     # -- introspection --------------------------------------------------
 
     def get_decision(self, subscription_id: str) -> DecisionMatrix:
+        """The subscription's full decision matrix, built from the live offers."""
         with self._lock:
-            self._get_subscription(subscription_id)
-            return self._selection[subscription_id].decision
+            sub = self._get_subscription(subscription_id)
+            return build_decision_matrix(self._live_offers(), sub.profile)
 
     def revision(self, subscription_id: str) -> int:
         with self._lock:
@@ -487,7 +507,9 @@ class ContextBroker:
                     callback_address=entry["callback_address"],
                     created_at=int(entry["created_at"]),
                 ), push=False)
-                self._selection[entry["subscription_id"]].revision = int(entry["revision"])
+                winners = self._selection[entry["subscription_id"]].winners
+                self._selection[entry["subscription_id"]] = SelectionState(
+                    winners, int(entry["revision"]))
             self._next_sub = int(state["next_sub"])
             self._next_reg = int(state["next_reg"])
             self._seq = int(state["seq"])
@@ -573,55 +595,97 @@ class ContextBroker:
         self._seq += 1
         self._next_sub += 1
         self._subscriptions[sub.subscription_id] = sub
-        decision = build_decision_matrix(self._live_offers(), sub.profile)
-        self._selection[sub.subscription_id] = SelectionState(decision, revision=1)
-        missing = renegotiation_report(decision)
+        self._admitted[sub.subscription_id] = next(self._admissions)
+        profile = sub.profile
+        eligible = [o for o in self._live_offers() if qos_feasible(o, profile)]
+        winners = tuple(rank_topic(eligible, profile, j) for j in range(len(profile.topics)))
+        self._selection[sub.subscription_id] = SelectionState(winners, 1)
+        for topic, (winner, _) in zip(profile.topics, winners):
+            self._consumers.setdefault(topic, {})[sub.subscription_id] = sub
+            self._route(sub, topic, None, winner)
+        missing = _unprovisioned(profile, winners)
         if push and missing:
             self._enqueue_advisory(sub, missing)
 
     def _remove_subscription(self, subscription_id: str) -> None:
         self._seq += 1
-        del self._subscriptions[subscription_id]
-        del self._selection[subscription_id]
+        sub = self._subscriptions.pop(subscription_id)
+        state = self._selection.pop(subscription_id)
+        for topic, (winner, _) in zip(sub.profile.topics, state.winners):
+            self._route(sub, topic, winner, None)
+            consumers = self._consumers[topic]
+            del consumers[subscription_id]
+            if not consumers:
+                del self._consumers[topic]
+        del self._admitted[subscription_id]
 
     def _add_registration(self, reg: Registration, push: bool) -> None:
         self._seq += 1
         self._next_reg += 1
         self._registrations[reg.registration_id] = reg
         self._service_registration[reg.offer.service_id] = reg.registration_id
-        self._reselect_all(push)
+        self._reselect(reg.offer, push)
 
     def _remove_registration(self, reg: Registration, push: bool) -> None:
         self._seq += 1
         del self._registrations[reg.registration_id]
         del self._service_registration[reg.offer.service_id]
-        self._reselect_all(push)
+        self._reselect(reg.offer, push)
 
-    def _reselect_all(self, push: bool) -> None:
-        """Recompute every subscription's decision after a registry change.
+    def _reselect(self, offer: ServiceOffer, push: bool) -> None:
+        """Bring every subscription up to date after ``offer`` was added
+        to or removed from the live offers.
 
-        Revision bumps only when the decision actually changed; topics
-        whose provider disappeared get a renegotiation advisory when
-        ``push`` is set.
+        A subscription whose QoS floors ``offer`` fails keeps its state.
+        Any other gains or loses a decision-matrix column, so its revision
+        bumps. Per topic, an offer scoring above the top by more than
+        ``TIE_TOLERANCE`` has just won it, one below by more cannot have
+        changed it, and one within that band (the removed winner always
+        is) makes the topic re-ranked over the live offers. Topics whose
+        provider disappeared get a renegotiation advisory when ``push`` is
+        set.
         """
-        offers = self._live_offers()
+        sid = offer.service_id
         for sub in self._subscriptions.values():
-            state = self._selection[sub.subscription_id]
-            decision = build_decision_matrix(offers, sub.profile)
-            if decision == state.decision:
+            profile = sub.profile
+            if not qos_feasible(offer, profile):
                 continue
-            lost = [
-                topic
-                for topic, before, after in zip(
-                    decision.topics, state.decision.selected, decision.selected
-                )
-                if before is not None and after is None
-            ]
+            state = self._selection[sub.subscription_id]
+            winners = list(state.winners)
+            eligible = None
+            lost = []
+            for j, (winner, top) in enumerate(state.winners):
+                s = score(offer, profile, j)
+                if s is None or s < top - TIE_TOLERANCE:
+                    continue
+                if s > top + TIE_TOLERANCE:  # only when ``offer`` was added
+                    winners[j] = (sid, s)
+                else:
+                    if eligible is None:
+                        eligible = [o for o in self._live_offers() if qos_feasible(o, profile)]
+                    winners[j] = rank_topic(eligible, profile, j)
+                after = winners[j][0]
+                if after != winner:
+                    self._route(sub, profile.topics[j], winner, after)
+                    if after is None:
+                        lost.append(profile.topics[j])
             self._selection[sub.subscription_id] = SelectionState(
-                decision, revision=state.revision + 1
-            )
+                tuple(winners), state.revision + 1)
             if push and lost:
                 self._enqueue_advisory(sub, lost)
+
+    def _route(
+        self, sub: Subscription, topic: TopicId, before: str | None, after: str | None
+    ) -> None:
+        """Move ``sub`` from the (topic, before) bucket to the (topic, after) one."""
+        n = self._admitted[sub.subscription_id]
+        if before is not None:
+            bucket = self._routes[(topic, before)]
+            del bucket[bisect_left(bucket, (n,))]
+            if not bucket:
+                del self._routes[(topic, before)]
+        if after is not None:
+            insort(self._routes.setdefault((topic, after), []), (n, sub))
 
     def _enqueue_notification(self, sub: Subscription, sample: ContextSample) -> None:
         self._dispatcher.enqueue(sub.callback_address, make_envelope(
@@ -633,6 +697,11 @@ class ContextBroker:
 
     def _record(self, kind: str, at: int, **payload: Any) -> dict[str, Any]:
         return {"seq": self._seq + 1, "kind": kind, "at": at, **payload}
+
+
+def _unprovisioned(profile: RequirementProfile, winners: tuple) -> list[TopicId]:
+    """Topics left without a provider, in profile order."""
+    return [topic for topic, (winner, _) in zip(profile.topics, winners) if winner is None]
 
 
 def _expect_id(got: str, expected: str) -> None:

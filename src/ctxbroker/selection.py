@@ -122,6 +122,18 @@ def _rank(candidates: list[tuple[str, float]]) -> tuple[str | None, float]:
     return winner, next(value for sid, value in candidates if sid == winner)
 
 
+def rank_topic(
+    offers: Iterable[ServiceOffer], profile: RequirementProfile, j: int
+) -> tuple[str | None, float]:
+    """Winner of the profile's topic ``j`` among QoS-feasible ``offers``,
+    as in :func:`build_decision_matrix`, and the top feasible score, which
+    the winner may trail by up to ``TIE_TOLERANCE``; (None, -inf) when no
+    offer is feasible for the topic."""
+    feasible = [(o.service_id, s) for o in offers if (s := score(o, profile, j)) is not None]
+    winner, _ = _rank(feasible)
+    return winner, max((s for _, s in feasible), default=float("-inf"))
+
+
 def build_decision_matrix(
     offers: Sequence[ServiceOffer], profile: RequirementProfile
 ) -> DecisionMatrix:

@@ -276,7 +276,10 @@ class _Pool:
         if parts.scheme != "http" or not parts.hostname:
             # Unreachable like a refused connection: a push retries, a pull fails upstream.
             raise OSError(f"not an http URL: {url!r}")
-        peer = (parts.hostname, parts.port or 80)
+        try:
+            peer = (parts.hostname, parts.port or 80)
+        except ValueError as exc:  # a port that is not a number or out of range
+            raise OSError(f"bad port in {url!r}") from exc
         target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
         body = None
         headers = {"Accept": "application/json"}

@@ -9,8 +9,8 @@ import pytest
 
 from ctxbroker import errors
 from ctxbroker.broker import ContextBroker
-from ctxbroker.model import ContextSample, RequirementProfile, ServiceOffer
-from ctxbroker.selection import build_decision_matrix
+from ctxbroker.model import ContextSample, IndicatorCatalog, RequirementProfile, ServiceOffer
+from ctxbroker.selection import build_decision_matrix, oracle_select
 
 from conftest import make_offer
 from helpers import RecordingTransport, random_catalog, random_offers, random_profile
@@ -477,6 +477,159 @@ class TestSelectionFreshness:
                 assert replica.find_context_consumers(topic) == broker.find_context_consumers(topic)
             replica.close()
             broker.close()
+
+
+def register_pullable(broker, transport, offer):
+    """Register ``offer`` at an address whose pulls answer a sample of it on each topic."""
+    address = f"svc://{offer.service_id}"
+    transport.values[address] = {
+        topic: sample_for(offer.service_id, topic=topic).to_dict()
+        for topic in offer.offered_topics
+    }
+    return broker.register_context_service(offer, address)
+
+
+def routed(broker, sub, topics):
+    """The provider each topic of ``sub`` is routed to, as pull-current reads it."""
+    providers = []
+    for topic in topics:
+        try:
+            providers.append(broker.get_current_topic_value(sub, topic).service_id)
+        except errors.NoProvider:
+            providers.append(None)
+    return tuple(providers)
+
+
+def near_clone(rng, offer, service_id):
+    """``offer``'s vectors under a new id, each QoC level nudged by a few
+    ``TIE_TOLERANCE``-sized steps, so scores land in and just outside the tie band."""
+    nudge = rng.choice((0.0, 4e-13, -4e-13, 8e-13, -1.6e-12))
+    return ServiceOffer(
+        service_id=service_id,
+        cloud_id=offer.cloud_id,
+        offered_topics=offer.offered_topics,
+        qoc_offer={
+            topic: tuple(min(1.0, max(0.0, q + nudge)) for q in levels)
+            for topic, levels in offer.qoc_offer.items()
+        },
+        qos_offer=offer.qos_offer,
+    )
+
+
+class TestRevisionSemantics:
+    def test_revision_bumps_iff_the_flat_matrix_changes(self):
+        """A revision counts changes of a flat rebuild over the live offers,
+        and routing always follows that rebuild's winners."""
+        rng = random.Random(2011)
+        for _ in range(30):
+            catalog = random_catalog(rng, max_qoc=3, max_qos=2)
+            transport = RecordingTransport()
+            broker = ContextBroker(catalog, transport=transport)
+            base = random_profile(rng, catalog, max_topics=3)
+            offers: dict[str, ServiceOffer] = {}  # registration id -> offer
+            profiles: dict[str, RequirementProfile] = {}
+            made = 0
+
+            def flat():
+                return {sub: build_decision_matrix(list(offers.values()), profile)
+                        for sub, profile in profiles.items()}
+
+            for _ in range(40):
+                before, revisions = flat(), {sub: broker.revision(sub) for sub in profiles}
+                roll = rng.random()
+                if roll < 0.45:
+                    donors = (list(offers.values()) if offers and rng.random() < 0.4
+                              else random_offers(rng, catalog, base, max_services=3))
+                    if not donors:
+                        continue
+                    made += 1
+                    offer = near_clone(rng, rng.choice(donors), f"cs{made:03d}")
+                    offers[register_pullable(broker, transport, offer)] = offer
+                elif roll < 0.7 and offers:
+                    reg = rng.choice(sorted(offers))
+                    broker.deregister_context_service(reg)
+                    del offers[reg]
+                elif roll < 0.9:
+                    profile = random_profile(rng, catalog, max_topics=3)
+                    profiles[broker.subscribe("app", profile, "cb://app")] = profile
+                elif profiles:
+                    sub = rng.choice(sorted(profiles))
+                    broker.unsubscribe(sub)
+                    del profiles[sub]
+                after = flat()
+                for sub in set(before) & set(after):
+                    bumped = broker.revision(sub) - revisions[sub]
+                    assert bumped == (after[sub] != before[sub]), (sub, bumped)
+                for sub, profile in profiles.items():
+                    assert routed(broker, sub, profile.topics) == after[sub].selected
+            broker.close()
+
+
+ONE_QOC = IndicatorCatalog(("q",), ("s",))
+ONE_TOPIC = RequirementProfile(topics=("t",), qoc_min=((0.0,),), qos_min=(0.0,), weights=((1.0,),))
+
+
+def level_offer(service_id, level):
+    return ServiceOffer(service_id=service_id, cloud_id="c", offered_topics=("t",),
+                        qoc_offer={"t": (level,)}, qos_offer=(1.0,))
+
+
+class TestTieBand:
+    """Scores within TIE_TOLERANCE of the top tie, and a tie goes to the
+    smallest id: a = 0.5 and b = a + 0.8e-12 tie; c = a + 1.5e-12 ties b
+    but not a."""
+
+    A, B, C = (level_offer("a", 0.5), level_offer("b", 0.5 + 0.8e-12),
+               level_offer("c", 0.5 + 1.5e-12))
+
+    def run(self, steps):
+        transport = RecordingTransport()
+        broker = ContextBroker(ONE_QOC, transport=transport)
+        sub = broker.subscribe("app", ONE_TOPIC, "cb://app")
+        regs, live = {}, {}
+        for verb, offer in steps:
+            if verb == "register":
+                regs[offer.service_id] = register_pullable(broker, transport, offer)
+                live[offer.service_id] = offer
+            else:
+                broker.deregister_context_service(regs.pop(offer.service_id))
+                del live[offer.service_id]
+            assert routed(broker, sub, ("t",)) == oracle_select(list(live.values()),
+                                                                 ONE_TOPIC).selected
+        broker.close()
+
+    def test_a_register_inside_the_band_of_the_top_but_not_of_the_winner(self):
+        # a wins over b; c ties b but beats a, so b wins.
+        self.run([("register", self.A), ("register", self.B), ("register", self.C)])
+
+    def test_a_deregister_of_a_top_that_is_not_the_winner(self):
+        # b wins over c; without c, a ties b again and wins.
+        self.run([("register", self.A), ("register", self.B), ("register", self.C),
+                  ("deregister", self.C)])
+
+    def test_oracle_sees_the_ties(self):
+        assert oracle_select([self.A, self.B], ONE_TOPIC).selected == ("a",)
+        assert oracle_select([self.A, self.B, self.C], ONE_TOPIC).selected == ("b",)
+
+
+class TestNotifyOrder:
+    def test_receivers_are_pushed_in_admission_order(self, broker, transport):
+        """sub-2 switches to cs-p before sub-1 does; a publication of cs-p
+        still reaches sub-1 first."""
+        loose = RequirementProfile(topics=("location",), qoc_min=((0.0, 0.0),),
+                                   qos_min=(0.0,), weights=((1.0, 1.0),))
+        strict = RequirementProfile(topics=("location",), qoc_min=((0.0, 0.0),),
+                                    qos_min=(0.9,), weights=((1.0, 1.0),))
+        first = broker.subscribe("app-1", loose, "cb://app-1")
+        second = broker.subscribe("app-2", strict, "cb://app-2")
+        reg_q = broker.register_context_service(make_offer("cs-q", 0.99, 0.99, 0.5), "svc://q")
+        broker.register_context_service(make_offer("cs-p", 0.9, 0.9, 0.95), "svc://p")
+        broker.deregister_context_service(reg_q)  # now sub-1 switches to cs-p
+        broker.drain()
+        del transport.pushes[:]
+        broker.notify_context_change("cs-p", sample_for("cs-p"))
+        broker.drain()
+        assert [m["body"]["subscription_id"] for _, m in transport.pushes] == [first, second]
 
 
 class TestExplicitRenegotiation:

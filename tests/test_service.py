@@ -539,6 +539,13 @@ class TestConnectionPool:
         with pytest.raises(UpstreamUnavailable):
             transport.pull("svc://a", "location")
 
+    @pytest.mark.parametrize("address", ["http://127.0.0.1:notaport/cb", "http://127.0.0.1:70000/"])
+    def test_bad_port_fails_like_a_refused_connection(self, transport, address):
+        status = transport.push(address, make_envelope("notify", {}))
+        assert not status.delivered and status.attempts == FAST_RETRY.attempts
+        with pytest.raises(UpstreamUnavailable):
+            transport.pull(address, "location")
+
     def test_request_after_stop_is_refused(self, threshold_catalog, threshold_profile, tmp_path):
         handle = serve(config_for(threshold_catalog, tmp_path))
         body = {"consumer_id": "app-1", "profile": threshold_profile.to_dict(),

@@ -4,7 +4,9 @@ A ``BrokerService`` over a persist file and a twin ``ContextBroker`` that
 never restarts receive the same registry mutations. After every step,
 each decision of the service equals ``oracle_select`` over the live
 offers, and its ids, counters and revisions equal the twin's. A restart,
-with or without ``close()``, gives back the state the service had.
+with or without ``close()``, gives back the state the service had. A
+publication reaches exactly the subscriptions whose oracle winner for its
+topic is the publisher, once each, in admission order.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from ctxbroker.broker import ContextBroker
-from ctxbroker.model import IndicatorCatalog, ServiceOffer
+from ctxbroker.model import ContextSample, IndicatorCatalog, ServiceOffer
 from ctxbroker.selection import oracle_select
 from ctxbroker.service import BrokerService, ServiceConfig
 from ctxbroker.wire import make_envelope
@@ -49,11 +51,16 @@ class JournalMachine(RuleBasedStateMachine):
         super().__init__()
         self.dir = Path(tempfile.mkdtemp(prefix="ctxbroker-sm-"))
         self.config = ServiceConfig(catalog=CATALOG, persist_path=self.dir / "state.json")
-        self.service = BrokerService(self.config, transport=RecordingTransport())
+        self.start()
         self.twin = ContextBroker(CATALOG, transport=RecordingTransport())
         self.offers: dict[str, ServiceOffer] = {}  # registration id -> offer, in admission order
-        self.profiles: dict = {}  # subscription id -> profile
+        self.profiles: dict = {}  # subscription id -> profile, in admission order
         self.services = 0
+        self.published = 0
+
+    def start(self) -> None:
+        self.transport = RecordingTransport()
+        self.service = BrokerService(self.config, transport=self.transport)
 
     def send(self, kind: str, body: dict) -> dict:
         response = self.service.handle_request(make_envelope(kind, body))
@@ -93,18 +100,36 @@ class JournalMachine(RuleBasedStateMachine):
         self.twin.deregister_context_service(reg)
         del self.offers[reg]
 
+    @precondition(lambda self: self.offers)
+    @rule(data=st.data())
+    def notify(self, data: st.DataObject) -> None:
+        offer = self.offers[data.draw(st.sampled_from(sorted(self.offers)))]
+        topic = data.draw(st.sampled_from(offer.offered_topics))
+        self.published += 1
+        sample = ContextSample(topic=topic, payload=self.published,
+                               produced_at=self.published, service_id=offer.service_id)
+        pushed = len(self.transport.pushes)
+        self.send("notify", {"service_id": offer.service_id, "sample": sample.to_dict()})
+        assert self.service.broker.drain()
+        live = list(self.offers.values())
+        assert [m["body"]["subscription_id"] for _, m in self.transport.pushes[pushed:]
+                if m["kind"] == "notify"] == [
+            sub for sub, profile in self.profiles.items()
+            if topic in profile.topics
+            and oracle_select(live, profile).selected_for(topic) == offer.service_id]
+
     @rule()
     def crash_restart(self) -> None:
         before = self.service.broker.snapshot_state()
         crash(self.service)
-        self.service = BrokerService(self.config, transport=RecordingTransport())
+        self.start()
         assert self.service.broker.snapshot_state() == before
 
     @rule()
     def clean_restart(self) -> None:
         before = self.service.broker.snapshot_state()
         self.service.close()
-        self.service = BrokerService(self.config, transport=RecordingTransport())
+        self.start()
         assert self.service.broker.snapshot_state() == before
 
     @invariant()
