@@ -20,9 +20,12 @@ live offers, which ``get_decision`` builds on demand.
 
 Each registry mutation is written ahead: under the lock it is first
 handed as one record to the journal hook, if there is one, and applied
-only when the hook returns. After a restart, ``restore_state`` applies
-the base snapshot's entries and ``replay`` each such record through the
-same code, without pushes.
+only when the hook returns. A subscribe or register record carries the
+subscription's or registration's ``entry()``; a snapshot entry is the
+same fields plus ``created_at`` (and a subscription's ``revision``).
+After a restart, ``restore_state`` and ``replay`` feed each base entry
+and each record to one apply step, ``_apply``, which changes the
+registries as the live mutation did, without pushes.
 
 Only the currently selected service's publications reach a subscriber.
 Publications from other services still land in the topic cache, but are
@@ -96,6 +99,11 @@ class Subscription:
     callback_address: str
     created_at: int
 
+    def entry(self) -> dict[str, Any]:
+        """The fields a subscribe record and a snapshot entry share."""
+        return {"subscription_id": self.subscription_id, "consumer_id": self.consumer_id,
+                "profile": self.profile.to_dict(), "callback_address": self.callback_address}
+
 
 @dataclass(frozen=True)
 class Registration:
@@ -103,6 +111,11 @@ class Registration:
     offer: ServiceOffer
     service_address: str
     created_at: int
+
+    def entry(self) -> dict[str, Any]:
+        """The fields a register record and a snapshot entry share."""
+        return {"registration_id": self.registration_id, "offer": self.offer.to_dict(),
+                "service_address": self.service_address}
 
 
 @dataclass(frozen=True)
@@ -250,23 +263,14 @@ class ContextBroker:
                 callback_address=callback_address,
                 created_at=_now_ms(),
             )
-            if self._journal is not None:
-                self._journal(self._record(
-                    "subscribe", sub.created_at,
-                    subscription_id=sub.subscription_id,
-                    consumer_id=consumer_id,
-                    profile=profile.to_dict(),
-                    callback_address=callback_address,
-                ))
+            self._write("subscribe", sub.created_at, sub.entry)
             self._add_subscription(sub, push=True)
             return sub.subscription_id
 
     def unsubscribe(self, subscription_id: str) -> None:
         with self._lock:
             self._get_subscription(subscription_id)
-            if self._journal is not None:
-                self._journal(self._record(
-                    "unsubscribe", _now_ms(), subscription_id=subscription_id))
+            self._write("unsubscribe", _now_ms(), lambda: {"subscription_id": subscription_id})
             self._remove_subscription(subscription_id)
 
     def register_context_service(self, offer: ServiceOffer, service_address: str) -> str:
@@ -285,13 +289,7 @@ class ContextBroker:
                 service_address=service_address,
                 created_at=_now_ms(),
             )
-            if self._journal is not None:
-                self._journal(self._record(
-                    "register", reg.created_at,
-                    registration_id=reg.registration_id,
-                    offer=offer.to_dict(),
-                    service_address=service_address,
-                ))
+            self._write("register", reg.created_at, reg.entry)
             self._add_registration(reg, push=True)
             return reg.registration_id
 
@@ -300,10 +298,8 @@ class ContextBroker:
             reg = self._registrations.get(registration_id)
             if reg is None:
                 raise errors.NotFound(f"unknown registration {registration_id!r}")
-            if self._journal is not None:
-                self._journal(self._record(
-                    "deregister", _now_ms(),
-                    registration_id=registration_id, service_id=reg.offer.service_id))
+            self._write("deregister", _now_ms(), lambda: {
+                "registration_id": registration_id, "service_id": reg.offer.service_id})
             self._remove_registration(reg, push=True)
 
     # -- publications and queries --------------------------------------
@@ -451,23 +447,12 @@ class ContextBroker:
                 "next_reg": self._next_reg,
                 "seq": self._seq,
                 "registrations": [
-                    {
-                        "registration_id": reg.registration_id,
-                        "offer": reg.offer.to_dict(),
-                        "service_address": reg.service_address,
-                        "created_at": reg.created_at,
-                    }
+                    {**reg.entry(), "created_at": reg.created_at}
                     for reg in self._registrations.values()
                 ],
                 "subscriptions": [
-                    {
-                        "subscription_id": sub.subscription_id,
-                        "consumer_id": sub.consumer_id,
-                        "profile": sub.profile.to_dict(),
-                        "callback_address": sub.callback_address,
-                        "created_at": sub.created_at,
-                        "revision": self._selection[sub.subscription_id].revision,
-                    }
+                    {**sub.entry(), "created_at": sub.created_at,
+                     "revision": self._selection[sub.subscription_id].revision}
                     for sub in self._subscriptions.values()
                 ],
             }
@@ -476,81 +461,38 @@ class ContextBroker:
         """Rebuild registries from a snapshot taken by :meth:`snapshot_state`.
 
         Must be called on a fresh broker. Each registration, then each
-        subscription, goes through the apply path that live mutations and
-        :meth:`replay` share, without pushes, so decisions are recomputed
-        from the restored offers; the persisted revisions and the id and
-        ``seq`` counters are set afterwards. An offer or profile that does
-        not fit the catalog, or a repeated service, registration or
-        subscription id, raises ValueError.
+        subscription, goes through the apply step that :meth:`replay`
+        shares, so decisions are recomputed from the restored offers; the
+        persisted revisions and the id and ``seq`` counters are set
+        afterwards. An entry the apply step refuses raises ValueError.
         """
         with self._lock:
             if self._subscriptions or self._registrations:
                 raise RuntimeError("restore_state requires an empty broker")
             for entry in state["registrations"]:
-                offer = self._fitting_offer(entry["offer"])
-                if entry["registration_id"] in self._registrations:
-                    raise ValueError(f"registration {entry['registration_id']!r} repeats")
-                self._add_registration(Registration(
-                    registration_id=entry["registration_id"],
-                    offer=offer,
-                    service_address=entry["service_address"],
-                    created_at=int(entry["created_at"]),
-                ), push=False)
+                self._apply("register", entry, int(entry["created_at"]))
             for entry in state["subscriptions"]:
-                profile = self._fitting_profile(entry["profile"], entry["subscription_id"])
-                if entry["subscription_id"] in self._subscriptions:
-                    raise ValueError(f"subscription {entry['subscription_id']!r} repeats")
-                self._add_subscription(Subscription(
-                    subscription_id=entry["subscription_id"],
-                    consumer_id=entry["consumer_id"],
-                    profile=profile,
-                    callback_address=entry["callback_address"],
-                    created_at=int(entry["created_at"]),
-                ), push=False)
-                winners = self._selection[entry["subscription_id"]].winners
-                self._selection[entry["subscription_id"]] = SelectionState(
-                    winners, int(entry["revision"]))
+                self._apply("subscribe", entry, int(entry["created_at"]))
+                sid = entry["subscription_id"]
+                self._selection[sid] = SelectionState(
+                    self._selection[sid].winners, int(entry["revision"]))
             self._next_sub = int(state["next_sub"])
             self._next_reg = int(state["next_reg"])
             self._seq = int(state["seq"])
 
     def replay(self, record: dict[str, Any]) -> None:
         """Apply one journal record as the mutation that wrote it did,
-        enqueueing no push or advisory. A record that does not follow this
-        broker's state (its ``seq`` or id, an unknown target, an offer or
-        profile that does not fit the catalog) raises ValueError."""
+        enqueueing no push or advisory. A record whose ``seq`` or new id
+        does not come next, or that the apply step refuses, raises
+        ValueError."""
         with self._lock:
             if record["seq"] != self._seq + 1:
                 raise ValueError(f"record seq {record['seq']!r} does not follow {self._seq}")
-            kind, at = record["kind"], int(record["at"])
-            if kind == "subscribe":
+            if record["kind"] == "subscribe":
                 _expect_id(record["subscription_id"], f"sub-{self._next_sub}")
-                self._add_subscription(Subscription(
-                    subscription_id=record["subscription_id"],
-                    consumer_id=record["consumer_id"],
-                    profile=self._fitting_profile(record["profile"], record["subscription_id"]),
-                    callback_address=record["callback_address"],
-                    created_at=at,
-                ), push=False)
-            elif kind == "unsubscribe":
-                if record["subscription_id"] not in self._subscriptions:
-                    raise ValueError(f"unknown subscription {record['subscription_id']!r}")
-                self._remove_subscription(record["subscription_id"])
-            elif kind == "register":
+            elif record["kind"] == "register":
                 _expect_id(record["registration_id"], f"reg-{self._next_reg}")
-                self._add_registration(Registration(
-                    registration_id=record["registration_id"],
-                    offer=self._fitting_offer(record["offer"]),
-                    service_address=record["service_address"],
-                    created_at=at,
-                ), push=False)
-            elif kind == "deregister":
-                reg = self._registrations.get(record["registration_id"])
-                if reg is None:
-                    raise ValueError(f"unknown registration {record['registration_id']!r}")
-                self._remove_registration(reg, push=False)
-            else:
-                raise ValueError(f"unknown record kind {kind!r}")
+            self._apply(record["kind"], record, int(record["at"]))
 
     # -- internals --------------------------------------------------------
 
@@ -570,22 +512,48 @@ class ContextBroker:
     def _live_offers(self) -> list[ServiceOffer]:
         return [reg.offer for reg in self._registrations.values()]
 
-    def _fitting_offer(self, data: dict[str, Any]) -> ServiceOffer:
-        """A restored offer that fits the catalog and names a service not yet registered."""
-        offer = ServiceOffer.from_dict(data)
-        result = validate_offer(offer, self.catalog)
-        if not result:
-            raise ValueError(f"offer {offer.service_id!r}: {result.reason}")
-        if offer.service_id in self._service_registration:
-            raise ValueError(f"service {offer.service_id!r} repeats")
-        return offer
+    def _write(self, kind: str, at: int, fields: Callable[[], dict[str, Any]]) -> None:
+        """Hand the journal hook, if there is one, the next mutation's record."""
+        if self._journal is not None:
+            self._journal({"seq": self._seq + 1, "kind": kind, "at": at, **fields()})
 
-    def _fitting_profile(self, data: dict[str, Any], subscription_id: str) -> RequirementProfile:
-        profile = RequirementProfile.from_dict(data)
-        result = validate_profile(profile, self.catalog)
-        if not result:
-            raise ValueError(f"profile of {subscription_id!r}: {result.reason}")
-        return profile
+    def _apply(self, kind: str, entry: dict[str, Any], at: int) -> None:
+        """Apply a register, subscribe, unsubscribe or deregister entry
+        without pushes. An offer or profile that does not fit the catalog,
+        a repeated service, registration or subscription id, an unknown
+        target or kind raises ValueError."""
+        if kind == "register":
+            offer = ServiceOffer.from_dict(entry["offer"])
+            result = validate_offer(offer, self.catalog)
+            if not result:
+                raise ValueError(f"offer {offer.service_id!r}: {result.reason}")
+            if offer.service_id in self._service_registration:
+                raise ValueError(f"service {offer.service_id!r} repeats")
+            if entry["registration_id"] in self._registrations:
+                raise ValueError(f"registration {entry['registration_id']!r} repeats")
+            self._add_registration(Registration(
+                entry["registration_id"], offer, entry["service_address"], at), push=False)
+        elif kind == "subscribe":
+            profile = RequirementProfile.from_dict(entry["profile"])
+            result = validate_profile(profile, self.catalog)
+            if not result:
+                raise ValueError(f"profile of {entry['subscription_id']!r}: {result.reason}")
+            if entry["subscription_id"] in self._subscriptions:
+                raise ValueError(f"subscription {entry['subscription_id']!r} repeats")
+            self._add_subscription(Subscription(
+                entry["subscription_id"], entry["consumer_id"], profile,
+                entry["callback_address"], at), push=False)
+        elif kind == "unsubscribe":
+            if entry["subscription_id"] not in self._subscriptions:
+                raise ValueError(f"unknown subscription {entry['subscription_id']!r}")
+            self._remove_subscription(entry["subscription_id"])
+        elif kind == "deregister":
+            reg = self._registrations.get(entry["registration_id"])
+            if reg is None:
+                raise ValueError(f"unknown registration {entry['registration_id']!r}")
+            self._remove_registration(reg, push=False)
+        else:
+            raise ValueError(f"unknown record kind {kind!r}")
 
     # The apply path: live mutations (push=True), replay and restore
     # (push=False) change the registries, the id counters and ``seq`` only
@@ -694,9 +662,6 @@ class ContextBroker:
     def _enqueue_advisory(self, sub: Subscription, topics: list[TopicId]) -> None:
         self._dispatcher.enqueue(sub.callback_address, make_envelope(
             "advisory", {"subscription_id": sub.subscription_id, "topics": list(topics)}))
-
-    def _record(self, kind: str, at: int, **payload: Any) -> dict[str, Any]:
-        return {"seq": self._seq + 1, "kind": kind, "at": at, **payload}
 
 
 def _unprovisioned(profile: RequirementProfile, winners: tuple) -> list[TopicId]:

@@ -177,40 +177,10 @@ def select_multi_cloud(
     clouds: Sequence[tuple[str, Sequence[ServiceOffer]]],
     profile: RequirementProfile,
 ) -> DecisionMatrix:
-    """Per-cloud selection followed by a global ranking of the winners.
-
-    Scores do not depend on cloud membership, so the outcome equals
-    :func:`build_decision_matrix` over the union of all offers; service
-    ids must be unique across clouds.
-    """
-    _check_unique_ids(o for _, cloud_offers in clouds for o in cloud_offers)
-    per_cloud = [build_decision_matrix(cloud_offers, profile) for _, cloud_offers in clouds]
-
-    services: list[str] = []
-    for dm in per_cloud:
-        services.extend(dm.services)
-
-    rows = []
-    max_score = []
-    selected: list[str | None] = []
-    for j in range(len(profile.topics)):
-        row: list[float] = []
-        for dm in per_cloud:
-            row.extend(dm.scores[j])
-        rows.append(tuple(row))
-        winners = [
-            (dm.selected[j], dm.max_score[j]) for dm in per_cloud if dm.selected[j]
-        ]
-        winner, score = _rank(winners)
-        selected.append(winner)
-        max_score.append(score)
-    return DecisionMatrix(
-        topics=profile.topics,
-        services=tuple(services),
-        scores=tuple(rows),
-        max_score=tuple(max_score),
-        selected=tuple(selected),
-    )
+    """Selection over offers grouped by cloud. Scores do not depend on cloud
+    membership, so this is :func:`build_decision_matrix` over the union of
+    all offers, in cloud order; service ids must be unique across clouds."""
+    return build_decision_matrix([o for _, offers in clouds for o in offers], profile)
 
 
 def renegotiation_report(decision: DecisionMatrix) -> list[TopicId]:

@@ -42,6 +42,12 @@ class RetryPolicy:
     backoff_initial: float = 0.1
     backoff_multiplier: float = 2.0
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.attempts, int) or self.attempts < 1:
+            raise ValueError(f"retry attempts must be an integer, at least 1: {self.attempts!r}")
+        if not all(0 <= b < float("inf") for b in (self.backoff_initial, self.backoff_multiplier)):
+            raise ValueError(f"retry backoffs must be finite and at least 0: {self}")
+
     def delay(self, attempt: int) -> float:
         """Sleep before retry number ``attempt`` (counted from 1)."""
         return self.backoff_initial * self.backoff_multiplier ** (attempt - 1)

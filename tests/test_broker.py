@@ -410,6 +410,38 @@ class TestEventLog:
         assert [r["seq"] for r in records] == [1, 2, 3]
         broker.close()
 
+    def test_record_and_snapshot_entry_keys(self, threshold_catalog, threshold_profile, transport):
+        # Journals and snapshots already on disk keep loading only while
+        # these keys, and the record key order, stay as they are.
+        records: list[dict] = []
+        broker = ContextBroker(threshold_catalog, transport=transport, journal=records.append)
+        reg = broker.register_context_service(make_offer("cs-a", 0.9, 0.95, 0.99), "svc://a")
+        sub = broker.subscribe("app-1", threshold_profile, "cb://app-1")
+        state = broker.snapshot_state()
+        broker.unsubscribe(sub)
+        broker.deregister_context_service(reg)
+        head = ["seq", "kind", "at"]
+        assert [list(r) for r in records] == [
+            head + ["registration_id", "offer", "service_address"],
+            head + ["subscription_id", "consumer_id", "profile", "callback_address"],
+            head + ["subscription_id"],
+            head + ["registration_id", "service_id"],
+        ]
+        assert [r["kind"] for r in records] == ["register", "subscribe", "unsubscribe", "deregister"]
+        assert records[3]["service_id"] == "cs-a"
+        assert sorted(state) == ["next_reg", "next_sub", "registrations", "seq", "subscriptions"]
+        assert sorted(state["registrations"][0]) == [
+            "created_at", "offer", "registration_id", "service_address"]
+        assert sorted(state["subscriptions"][0]) == [
+            "callback_address", "consumer_id", "created_at", "profile", "revision",
+            "subscription_id"]
+        # A snapshot entry is its record's fields plus ``created_at``.
+        for record, entry in zip(records, state["registrations"] + state["subscriptions"]):
+            fields = list(record)[3:]
+            assert {k: entry[k] for k in fields} == {k: record[k] for k in fields}
+            assert entry["created_at"] == record["at"]
+        broker.close()
+
 
 def replay_events(catalog, events):
     """Rebuild a broker by replaying the mutation records its journal hook got."""

@@ -199,11 +199,17 @@ class TestServeConfigResolution:
             self.resolve(tmp_path, ["--listen", "127.0.0.1:7002"], monkeypatch=monkeypatch)
 
 
+CATALOG = {"qoc_indicators": ["freshness"], "qos_indicators": ["availability"]}
+
+
 @pytest.mark.parametrize("flag, document", [
     ("--catalog", {"qoc_indicators": ["freshness"]}),
-    ("--config", {"catalog": {"qoc_indicators": ["freshness"], "qos_indicators": ["availability"]},
-                  "retry": {"attempt": 3}}),
-], ids=["catalog without qos_indicators", "unknown retry field"])
+    ("--config", {"catalog": CATALOG, "retry": {"attempt": 3}}),
+    ("--config", {"catalog": CATALOG, "retry": {"attempts": 0}}),
+    ("--config", {"catalog": CATALOG, "retry": {"backoff_initial": -0.1}}),
+    ("--config", {"catalog": CATALOG, "retry": {"backoff_multiplier": -2.0}}),
+], ids=["catalog without qos_indicators", "unknown retry field", "no retry attempts",
+        "negative backoff", "negative backoff multiplier"])
 def test_malformed_serve_config_is_an_error(tmp_path, capsys, monkeypatch, flag, document):
     monkeypatch.delenv("CTXBROKER_LISTEN", raising=False)
     monkeypatch.delenv("CTXBROKER_PERSIST", raising=False)

@@ -384,6 +384,24 @@ class TestMultiCloud:
         decision = select_multi_cloud(clouds, threshold_profile)
         assert decision.selected == (None,)
 
+    def test_tie_band_spans_clouds(self):
+        # Cloud a's own tie band picks s0, which trails s2 by more than the
+        # tolerance; over the union s1 ties s2 and wins on its id.
+        profile = RequirementProfile(topics=("t",), qoc_min=((0.0,),), qos_min=(0.0,),
+                                     weights=((1.0,),))
+
+        def offer(service_id, level, cloud_id):
+            return ServiceOffer(service_id=service_id, cloud_id=cloud_id, offered_topics=("t",),
+                                qoc_offer={"t": (level,)}, qos_offer=(1.0,))
+
+        clouds = [("a", [offer("s0", 0.5 - 0.8e-12, "a"), offer("s1", 0.5, "a")]),
+                  ("b", [offer("s2", 0.5 + 0.5e-12, "b")])]
+        union = [o for _, cloud_offers in clouds for o in cloud_offers]
+        decision = select_multi_cloud(clouds, profile)
+        assert decision.selected == ("s1",)
+        assert decision == build_decision_matrix(union, profile)
+        assert decision.selected == oracle_select(union, profile).selected
+
     def test_duplicate_service_id_across_clouds_rejected(self, threshold_profile):
         offer = make_offer("cs-a", 0.85, 0.95, 0.99)
         with pytest.raises(Conflict):

@@ -178,6 +178,28 @@ class TestEnvelopeRouting:
         assert missing["body"]["code"] == "BAD_REQUEST"
         service.close()
 
+    @pytest.mark.parametrize("kind, field", [
+        ("subscribe", "consumer_id"), ("subscribe", "callback_address"),
+        ("register", "service_address")])
+    def test_id_or_address_that_is_not_a_string_is_refused_unjournaled(
+        self, threshold_catalog, threshold_profile, tmp_path, kind, field
+    ):
+        service = BrokerService(config_for(threshold_catalog, tmp_path),
+                                transport=RecordingTransport())
+        body = {
+            "subscribe": {"consumer_id": "app-1", "profile": threshold_profile.to_dict(),
+                          "callback_address": "cb://app-1"},
+            "register": {"offer": make_offer("cs-a", 0.9, 0.95, 0.99).to_dict(),
+                         "service_address": "svc://a"},
+        }[kind]
+        response = service.handle_request(make_envelope(kind, dict(body, **{field: 7})))
+        assert response["body"]["code"] == "BAD_REQUEST"
+        assert field in response["body"]["message"]
+        assert service.broker.snapshot_state()["seq"] == 0
+        assert service.handle_request(make_envelope(kind, body))["kind"] == "ack"
+        assert service.broker.snapshot_state()["seq"] == 1
+        service.close()
+
     def test_timed_out_drain_is_an_error(self, threshold_catalog, monkeypatch):
         service = self.make_service(threshold_catalog)
         monkeypatch.setattr(service.broker, "drain", lambda timeout=10.0: False)
@@ -1014,6 +1036,49 @@ class TestPersistence:
         with pytest.raises(SnapshotError) as excinfo:
             BrokerService(config, transport=RecordingTransport())
         assert "state.json" in str(excinfo.value)
+        assert dispatch_threads() == before
+
+    @pytest.mark.parametrize("record, refusal", [
+        ({"kind": "rename"}, "unknown record kind"),
+        ({"kind": "subscribe", "subscription_id": "sub-3", "consumer_id": "app-2",
+          "callback_address": "cb://app-2"}, "'sub-2' comes next"),
+        ({"kind": "register", "registration_id": "reg-3", "service_address": "svc://b"},
+         "'reg-2' comes next"),
+        ({"kind": "unsubscribe", "subscription_id": "sub-9"}, "unknown subscription"),
+        ({"kind": "deregister", "registration_id": "reg-9", "service_id": "cs-9"},
+         "unknown registration"),
+        ({"kind": "register", "registration_id": "reg-2", "service_address": "svc://b",
+          "offer": dict(make_offer("cs-b", 0.9, 0.95, 0.99).to_dict(), qos_offer=[])},
+         "offer 'cs-b'"),
+        ({"kind": "subscribe", "subscription_id": "sub-2", "consumer_id": "app-2",
+          "callback_address": "cb://app-2", "profile": {
+              "topics": ["location"], "qoc_min": [[0.8, 0.93]], "qos_min": []}},
+         "profile of 'sub-2'"),
+    ], ids=["unknown kind", "subscribe out of turn", "register out of turn",
+            "unsubscribe of an unknown id", "deregister of an unknown id",
+            "offer that does not fit", "profile that does not fit"])
+    def test_journal_record_the_apply_step_refuses(
+        self, threshold_catalog, threshold_profile, tmp_path, record, refusal
+    ):
+        config = config_for(threshold_catalog, tmp_path)
+        first = BrokerService(config, transport=RecordingTransport())
+        first.handle_request(make_envelope("register", {
+            "offer": make_offer("cs-a", 0.9, 0.95, 0.99).to_dict(), "service_address": "svc://a"}))
+        first.handle_request(make_envelope("subscribe", {
+            "consumer_id": "app-1", "profile": threshold_profile.to_dict(),
+            "callback_address": "cb://app-1"}))
+        crash(first)
+        # The record comes next by seq and ends with a newline, so it is not torn;
+        # a subscribe or register gets a fitting profile or offer unless the case
+        # gives its own.
+        record = {"seq": 3, "at": 1_000, "profile": threshold_profile.to_dict(),
+                  "offer": make_offer("cs-b", 0.9, 0.95, 0.99).to_dict(), **record}
+        with open(config.persist_path, "ab") as fh:
+            fh.write(json.dumps(record).encode() + b"\n")
+        before = dispatch_threads()
+        with pytest.raises(SnapshotError) as excinfo:
+            BrokerService(config, transport=RecordingTransport())
+        assert "state.json" in str(excinfo.value) and refusal in str(excinfo.value)
         assert dispatch_threads() == before
 
     def test_concurrent_mutations_keep_snapshot_loadable(self, threshold_catalog, tmp_path):
