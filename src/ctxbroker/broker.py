@@ -18,14 +18,16 @@ the offer lands within ``TIE_TOLERANCE`` of the top or took the winner
 away. The result always equals a flat ``build_decision_matrix`` over the
 live offers, which ``get_decision`` builds on demand.
 
-Each registry mutation is written ahead: under the lock it is first
-handed as one record to the journal hook, if there is one, and applied
+Every registry mutation, live or restored, passes one check-then-apply
+step, ``_mutate``, which holds every refusal of a subscribe, unsubscribe,
+register or deregister. A live mutation is written ahead: under the lock
+its record goes to the journal hook, if there is one, and it is applied
 only when the hook returns. A subscribe or register record carries the
 subscription's or registration's ``entry()``; a snapshot entry is the
 same fields plus ``created_at`` (and a subscription's ``revision``).
-After a restart, ``restore_state`` and ``replay`` feed each base entry
-and each record to one apply step, ``_apply``, which changes the
-registries as the live mutation did, without pushes.
+After a restart, ``restore_state`` and ``replay`` parse each base entry
+and each record and pass it to the same step, which applies it without
+pushes.
 
 Only the currently selected service's publications reach a subscriber.
 Publications from other services still land in the topic cache, but are
@@ -42,7 +44,8 @@ import time
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol
+from functools import partial
+from typing import Any, Callable, Iterable, Protocol
 
 from . import errors
 from .model import (
@@ -252,55 +255,26 @@ class ContextBroker:
         Topics with no admissible provider trigger a renegotiation
         advisory right away. Returns the new subscription id.
         """
-        result = validate_profile(profile, self.catalog)
-        if not result:
-            raise errors.BadRequest(f"invalid profile: {result.reason}")
         with self._lock:
-            sub = Subscription(
-                subscription_id=f"sub-{self._next_sub}",
-                consumer_id=consumer_id,
-                profile=profile,
-                callback_address=callback_address,
-                created_at=_now_ms(),
-            )
-            self._write("subscribe", sub.created_at, sub.entry)
-            self._add_subscription(sub, push=True)
+            sub = Subscription(f"sub-{self._next_sub}", consumer_id, profile, callback_address,
+                               _now_ms())
+            self._mutate("subscribe", sub, sub.created_at)
             return sub.subscription_id
 
     def unsubscribe(self, subscription_id: str) -> None:
         with self._lock:
-            self._get_subscription(subscription_id)
-            self._write("unsubscribe", _now_ms(), lambda: {"subscription_id": subscription_id})
-            self._remove_subscription(subscription_id)
+            self._mutate("unsubscribe", subscription_id, _now_ms())
 
     def register_context_service(self, offer: ServiceOffer, service_address: str) -> str:
         """Admit a service offer and reselect for every subscription."""
-        result = validate_offer(offer, self.catalog)
-        if not result:
-            raise errors.BadRequest(f"invalid offer: {result.reason}")
         with self._lock:
-            if offer.service_id in self._service_registration:
-                raise errors.Conflict(
-                    f"service {offer.service_id!r} already has an active registration"
-                )
-            reg = Registration(
-                registration_id=f"reg-{self._next_reg}",
-                offer=offer,
-                service_address=service_address,
-                created_at=_now_ms(),
-            )
-            self._write("register", reg.created_at, reg.entry)
-            self._add_registration(reg, push=True)
+            reg = Registration(f"reg-{self._next_reg}", offer, service_address, _now_ms())
+            self._mutate("register", reg, reg.created_at)
             return reg.registration_id
 
     def deregister_context_service(self, registration_id: str) -> None:
         with self._lock:
-            reg = self._registrations.get(registration_id)
-            if reg is None:
-                raise errors.NotFound(f"unknown registration {registration_id!r}")
-            self._write("deregister", _now_ms(), lambda: {
-                "registration_id": registration_id, "service_id": reg.offer.service_id})
-            self._remove_registration(reg, push=True)
+            self._mutate("deregister", registration_id, _now_ms())
 
     # -- publications and queries --------------------------------------
 
@@ -464,7 +438,9 @@ class ContextBroker:
         subscription, goes through the apply step that :meth:`replay`
         shares, so decisions are recomputed from the restored offers; the
         persisted revisions and the id and ``seq`` counters are set
-        afterwards. An entry the apply step refuses raises ValueError.
+        afterwards. An entry the mutation step refuses raises its
+        BrokerError; an id counter that would issue a restored id again
+        raises ValueError.
         """
         with self._lock:
             if self._subscriptions or self._registrations:
@@ -476,15 +452,15 @@ class ContextBroker:
                 sid = entry["subscription_id"]
                 self._selection[sid] = SelectionState(
                     self._selection[sid].winners, int(entry["revision"]))
-            self._next_sub = int(state["next_sub"])
-            self._next_reg = int(state["next_reg"])
+            self._next_sub = _restored_counter(state["next_sub"], "sub-", self._subscriptions)
+            self._next_reg = _restored_counter(state["next_reg"], "reg-", self._registrations)
             self._seq = int(state["seq"])
 
     def replay(self, record: dict[str, Any]) -> None:
         """Apply one journal record as the mutation that wrote it did,
         enqueueing no push or advisory. A record whose ``seq`` or new id
-        does not come next, or that the apply step refuses, raises
-        ValueError."""
+        does not come next raises ValueError; one the mutation step
+        refuses raises its BrokerError."""
         with self._lock:
             if record["seq"] != self._seq + 1:
                 raise ValueError(f"record seq {record['seq']!r} does not follow {self._seq}")
@@ -512,48 +488,66 @@ class ContextBroker:
     def _live_offers(self) -> list[ServiceOffer]:
         return [reg.offer for reg in self._registrations.values()]
 
-    def _write(self, kind: str, at: int, fields: Callable[[], dict[str, Any]]) -> None:
-        """Hand the journal hook, if there is one, the next mutation's record."""
-        if self._journal is not None:
-            self._journal({"seq": self._seq + 1, "kind": kind, "at": at, **fields()})
-
     def _apply(self, kind: str, entry: dict[str, Any], at: int) -> None:
-        """Apply a register, subscribe, unsubscribe or deregister entry
-        without pushes. An offer or profile that does not fit the catalog,
-        a repeated service, registration or subscription id, an unknown
-        target or kind raises ValueError."""
-        if kind == "register":
-            offer = ServiceOffer.from_dict(entry["offer"])
+        """Parse a restored base entry or a replayed record and pass it to
+        the mutation step, which applies it without pushes."""
+        if kind == "subscribe":
+            target: Any = Subscription(
+                entry["subscription_id"], entry["consumer_id"],
+                RequirementProfile.from_dict(entry["profile"]), entry["callback_address"], at)
+        elif kind == "register":
+            target = Registration(entry["registration_id"], ServiceOffer.from_dict(entry["offer"]),
+                                  entry["service_address"], at)
+        else:  # the id a removal names; the step refuses any other kind
+            target = entry.get("subscription_id" if kind == "unsubscribe" else "registration_id")
+        self._mutate(kind, target, at, live=False)
+
+    def _mutate(self, kind: str, target: Any, at: int, live: bool = True) -> None:
+        """The one check-then-apply step of a live call, a restored base
+        entry or a replayed record; ``target`` is the new Subscription or
+        Registration, or the id a removal names. Each refusal raises a
+        BrokerError before anything changes. A live mutation is then handed
+        to the journal hook and applied with its pushes, another without."""
+        if kind == "subscribe":
+            sid = target.subscription_id
+            _require_text(subscription_id=sid, consumer_id=target.consumer_id,
+                          callback_address=target.callback_address)
+            result = validate_profile(target.profile, self.catalog)
+            if not result:
+                raise errors.BadRequest(f"invalid profile of {sid!r}: {result.reason}")
+            if sid in self._subscriptions:
+                raise errors.Conflict(f"subscription {sid!r} repeats")
+            fields, apply = target.entry, partial(self._add_subscription, target, live)
+        elif kind == "register":
+            offer = target.offer
+            _require_text(registration_id=target.registration_id,
+                          service_address=target.service_address)
             result = validate_offer(offer, self.catalog)
             if not result:
-                raise ValueError(f"offer {offer.service_id!r}: {result.reason}")
+                raise errors.BadRequest(f"invalid offer {offer.service_id!r}: {result.reason}")
             if offer.service_id in self._service_registration:
-                raise ValueError(f"service {offer.service_id!r} repeats")
-            if entry["registration_id"] in self._registrations:
-                raise ValueError(f"registration {entry['registration_id']!r} repeats")
-            self._add_registration(Registration(
-                entry["registration_id"], offer, entry["service_address"], at), push=False)
-        elif kind == "subscribe":
-            profile = RequirementProfile.from_dict(entry["profile"])
-            result = validate_profile(profile, self.catalog)
-            if not result:
-                raise ValueError(f"profile of {entry['subscription_id']!r}: {result.reason}")
-            if entry["subscription_id"] in self._subscriptions:
-                raise ValueError(f"subscription {entry['subscription_id']!r} repeats")
-            self._add_subscription(Subscription(
-                entry["subscription_id"], entry["consumer_id"], profile,
-                entry["callback_address"], at), push=False)
+                raise errors.Conflict(
+                    f"service {offer.service_id!r} already has an active registration")
+            if target.registration_id in self._registrations:
+                raise errors.Conflict(f"registration {target.registration_id!r} repeats")
+            fields, apply = target.entry, partial(self._add_registration, target, live)
         elif kind == "unsubscribe":
-            if entry["subscription_id"] not in self._subscriptions:
-                raise ValueError(f"unknown subscription {entry['subscription_id']!r}")
-            self._remove_subscription(entry["subscription_id"])
+            _require_text(subscription_id=target)
+            self._get_subscription(target)
+            fields = partial(dict, subscription_id=target)
+            apply = partial(self._remove_subscription, target)
         elif kind == "deregister":
-            reg = self._registrations.get(entry["registration_id"])
+            _require_text(registration_id=target)
+            reg = self._registrations.get(target)
             if reg is None:
-                raise ValueError(f"unknown registration {entry['registration_id']!r}")
-            self._remove_registration(reg, push=False)
+                raise errors.NotFound(f"unknown registration {target!r}")
+            fields = partial(dict, registration_id=target, service_id=reg.offer.service_id)
+            apply = partial(self._remove_registration, reg, live)
         else:
-            raise ValueError(f"unknown record kind {kind!r}")
+            raise errors.BadRequest(f"unknown record kind {kind!r}")
+        if live and self._journal is not None:  # no record is built without a hook
+            self._journal({"seq": self._seq + 1, "kind": kind, "at": at, **fields()})
+        apply()
 
     # The apply path: live mutations (push=True), replay and restore
     # (push=False) change the registries, the id counters and ``seq`` only
@@ -672,3 +666,23 @@ def _unprovisioned(profile: RequirementProfile, winners: tuple) -> list[TopicId]
 def _expect_id(got: str, expected: str) -> None:
     if got != expected:
         raise ValueError(f"record id {got!r} where {expected!r} comes next")
+
+
+def _require_text(**fields: Any) -> None:
+    """Refuse an id or address that is not a string: it is journaled and
+    later used as one."""
+    for name, value in fields.items():
+        if not isinstance(value, str):
+            raise errors.BadRequest(f"{name} must be a string, not {type(value).__name__}")
+
+
+def _restored_counter(value: Any, prefix: str, live_ids: Iterable[str]) -> int:
+    """A persisted id counter, refused when an id it would issue,
+    ``prefix`` followed by it or a larger number, is live already."""
+    counter = int(value)
+    for i in live_ids:
+        n = i[len(prefix):]
+        if i.startswith(prefix) and n.lstrip("-").isdecimal() and f"{prefix}{int(n)}" == i \
+                and int(n) >= counter:
+            raise ValueError(f"the counter issues {prefix}{counter} next, but {i!r} is live")
+    return counter

@@ -156,7 +156,7 @@ class BrokerService:
                 self.broker.restore_state(state)
                 for record in self._journal.records:
                     self.broker.replay(record)
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, errors.BrokerError) as exc:
                 self.broker.close()
                 raise SnapshotError(
                     f"snapshot file {config.persist_path} does not fit: {exc!r}") from exc
@@ -274,24 +274,15 @@ class BrokerService:
 # ``wire.PATHS`` says how each kind arrives over HTTP.
 
 
-def _text(body: dict[str, Any], key: str) -> str:
-    """A body field that must be a string: it is journaled and later used as one."""
-    if not isinstance(body[key], str):
-        raise TypeError(f"{key} must be a string, not {type(body[key]).__name__}")
-    return body[key]
-
-
 def _subscribe(broker: ContextBroker, body: dict[str, Any]) -> dict[str, Any]:
     profile = RequirementProfile.from_dict(body["profile"])
-    subscription_id = broker.subscribe(
-        _text(body, "consumer_id"), profile, _text(body, "callback_address"))
-    return {"subscription_id": subscription_id}
+    return {"subscription_id": broker.subscribe(
+        body["consumer_id"], profile, body["callback_address"])}
 
 
 def _register(broker: ContextBroker, body: dict[str, Any]) -> dict[str, Any]:
     offer = ServiceOffer.from_dict(body["offer"])
-    return {"registration_id": broker.register_context_service(
-        offer, _text(body, "service_address"))}
+    return {"registration_id": broker.register_context_service(offer, body["service_address"])}
 
 
 def _notify(broker: ContextBroker, body: dict[str, Any]) -> dict[str, Any]:

@@ -208,8 +208,9 @@ CATALOG = {"qoc_indicators": ["freshness"], "qos_indicators": ["availability"]}
     ("--config", {"catalog": CATALOG, "retry": {"attempts": 0}}),
     ("--config", {"catalog": CATALOG, "retry": {"backoff_initial": -0.1}}),
     ("--config", {"catalog": CATALOG, "retry": {"backoff_multiplier": -2.0}}),
+    ("--config", {"catalog": CATALOG, "retry": {"backoff_multiplier": 1e200}}),
 ], ids=["catalog without qos_indicators", "unknown retry field", "no retry attempts",
-        "negative backoff", "negative backoff multiplier"])
+        "negative backoff", "negative backoff multiplier", "backoff that overflows"])
 def test_malformed_serve_config_is_an_error(tmp_path, capsys, monkeypatch, flag, document):
     monkeypatch.delenv("CTXBROKER_LISTEN", raising=False)
     monkeypatch.delenv("CTXBROKER_PERSIST", raising=False)

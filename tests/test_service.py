@@ -19,7 +19,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from ctxbroker.errors import UpstreamUnavailable
+from ctxbroker.errors import BadRequest, UpstreamUnavailable
 from ctxbroker.model import IndicatorCatalog, RequirementProfile, ServiceOffer
 from ctxbroker.service import (
     ROUTES,
@@ -178,24 +178,69 @@ class TestEnvelopeRouting:
         assert missing["body"]["code"] == "BAD_REQUEST"
         service.close()
 
-    @pytest.mark.parametrize("kind, field", [
-        ("subscribe", "consumer_id"), ("subscribe", "callback_address"),
-        ("register", "service_address")])
+    @pytest.mark.parametrize("path, kind, field", [
+        ("envelope", "subscribe", "consumer_id"), ("envelope", "subscribe", "callback_address"),
+        ("envelope", "register", "service_address"),
+        ("python", "subscribe", "consumer_id"), ("python", "subscribe", "callback_address"),
+        ("python", "register", "service_address"),
+        ("journal", "subscribe", "consumer_id"), ("journal", "register", "service_address"),
+        ("journal", "unsubscribe", "subscription_id"),
+        ("journal", "deregister", "registration_id"),
+        ("base", "subscribe", "subscription_id"), ("base", "register", "service_address"),
+    ], ids=["subscribe-consumer_id", "subscribe-callback_address", "register-service_address",
+            "python-subscribe-consumer_id", "python-subscribe-callback_address",
+            "python-register-service_address", "journal-subscribe-consumer_id",
+            "journal-register-service_address", "journal-unsubscribe-subscription_id",
+            "journal-deregister-registration_id", "base-subscribe-subscription_id",
+            "base-register-service_address"])
     def test_id_or_address_that_is_not_a_string_is_refused_unjournaled(
-        self, threshold_catalog, threshold_profile, tmp_path, kind, field
+        self, threshold_catalog, threshold_profile, tmp_path, path, kind, field
     ):
-        service = BrokerService(config_for(threshold_catalog, tmp_path),
-                                transport=RecordingTransport())
+        """A live call (an envelope or the Python API) is refused before
+        anything is journaled; a journal record or base entry refuses startup."""
+        config = config_for(threshold_catalog, tmp_path)
+        offer = make_offer("cs-a", 0.9, 0.95, 0.99)
         body = {
-            "subscribe": {"consumer_id": "app-1", "profile": threshold_profile.to_dict(),
-                          "callback_address": "cb://app-1"},
-            "register": {"offer": make_offer("cs-a", 0.9, 0.95, 0.99).to_dict(),
+            "subscribe": {"subscription_id": "sub-1", "consumer_id": "app-1",
+                          "profile": threshold_profile.to_dict(), "callback_address": "cb://app-1"},
+            "register": {"registration_id": "reg-1", "offer": offer.to_dict(),
                          "service_address": "svc://a"},
+            "unsubscribe": {"subscription_id": "sub-1"},
+            "deregister": {"registration_id": "reg-1"},
         }[kind]
-        response = service.handle_request(make_envelope(kind, dict(body, **{field: 7})))
-        assert response["body"]["code"] == "BAD_REQUEST"
-        assert field in response["body"]["message"]
+        bad = dict(body, **{field: 7})
+        if path in ("journal", "base"):
+            entries = {"subscribe": [], "register": []}
+            if path == "base":
+                entries[kind].append(dict(bad, created_at=1_000, revision=1))
+            save_snapshot(config.persist_path, {
+                "next_sub": 1, "next_reg": 1, "seq": 0,
+                "registrations": entries["register"], "subscriptions": entries["subscribe"]})
+            if path == "journal":
+                with open(config.persist_path, "ab") as fh:
+                    fh.write(json.dumps({"seq": 1, "kind": kind, "at": 1_000, **bad}).encode()
+                             + b"\n")
+            before = dispatch_threads()
+            with pytest.raises(SnapshotError) as excinfo:
+                BrokerService(config, transport=RecordingTransport())
+            assert "state.json" in str(excinfo.value) and f"{field} must be a string" in str(
+                excinfo.value)
+            assert dispatch_threads() == before
+            return
+        service = BrokerService(config, transport=RecordingTransport())
+        if path == "envelope":
+            response = service.handle_request(make_envelope(kind, bad))
+            assert response["body"]["code"] == "BAD_REQUEST"
+            assert field in response["body"]["message"]
+        elif kind == "subscribe":
+            with pytest.raises(BadRequest, match=field):
+                service.broker.subscribe(bad["consumer_id"], threshold_profile,
+                                         bad["callback_address"])
+        else:
+            with pytest.raises(BadRequest, match=field):
+                service.broker.register_context_service(offer, bad["service_address"])
         assert service.broker.snapshot_state()["seq"] == 0
+        assert not config.persist_path.exists()
         assert service.handle_request(make_envelope(kind, body))["kind"] == "ack"
         assert service.broker.snapshot_state()["seq"] == 1
         service.close()
@@ -982,6 +1027,25 @@ class TestPersistence:
         with pytest.raises(SnapshotError) as excinfo:
             BrokerService(config, transport=RecordingTransport())
         assert "state.json" in str(excinfo.value)
+
+    @pytest.mark.parametrize("counter", ["next_sub", "next_reg"])
+    def test_counter_that_would_reissue_a_restored_id_refuses_startup(
+        self, threshold_catalog, threshold_profile, tmp_path, counter
+    ):
+        config = config_for(threshold_catalog, tmp_path)
+        first = BrokerService(config, transport=RecordingTransport())
+        first.handle_request(make_envelope("register", {
+            "offer": make_offer("cs-a", 0.9, 0.95, 0.99).to_dict(), "service_address": "svc://a"}))
+        first.handle_request(make_envelope("subscribe", {
+            "consumer_id": "app-1", "profile": threshold_profile.to_dict(),
+            "callback_address": "cb://app-1"}))
+        first.close()
+        state = load_snapshot(config.persist_path)
+        assert state[counter] == 2
+        save_snapshot(config.persist_path, dict(state, **{counter: 1}))
+        with pytest.raises(SnapshotError) as excinfo:
+            BrokerService(config, transport=RecordingTransport())
+        assert "state.json" in str(excinfo.value) and "-1' is live" in str(excinfo.value)
 
     def test_snapshot_write_is_atomic_rename(self, tmp_path):
         target = tmp_path / "snap.json"
