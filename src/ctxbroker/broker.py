@@ -41,6 +41,7 @@ import itertools
 import logging
 import threading
 import time
+import uuid
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
@@ -72,7 +73,11 @@ log = logging.getLogger(__name__)
 
 
 class Transport(Protocol):
-    """How the broker reaches consumers (push) and services (pull)."""
+    """How the broker reaches consumers (push) and services (pull).
+
+    A transport must not mutate a pushed message: the envelopes of one
+    publication share one sample dict.
+    """
 
     def push(self, callback_address: str, message: dict[str, Any]) -> DeliveryStatus:
         """Deliver one message, retrying per policy; never raises."""
@@ -141,10 +146,11 @@ class SelectionState:
 class _Dispatcher:
     """Single-worker delivery queue: global FIFO, hence per-subscription FIFO.
 
-    The queue is guarded by the broker's lock, under which every message
-    is enqueued. The worker takes that lock to dequeue and to count a
-    delivery done, and pushes outside it, so it yields to registry work
-    instead of contending for the interpreter with it.
+    The queue is guarded by the broker's lock, and each side takes it once
+    per batch: a publication enqueues all its messages at once, and the
+    worker takes everything queued at once, pushes it in order outside the
+    lock, so it yields to registry work instead of contending for the
+    interpreter with it, then counts the batch done in one more lock turn.
     """
 
     _STOP = object()
@@ -158,10 +164,11 @@ class _Dispatcher:
         self._thread = threading.Thread(target=self._run, name="ctxbroker-dispatch", daemon=True)
         self._thread.start()
 
-    def enqueue(self, callback_address: str, message: dict[str, Any]) -> None:
+    def enqueue(self, items: list[tuple[str, dict[str, Any]]]) -> None:
+        """Queue ``(callback_address, message)`` pairs in order."""
         with self._ready:
-            self._pending += 1
-            self._queue.append((callback_address, message))
+            self._pending += len(items)
+            self._queue.extend(items)
             self._ready.notify()
 
     def _run(self) -> None:
@@ -169,24 +176,29 @@ class _Dispatcher:
             with self._ready:
                 while not self._queue:
                     self._ready.wait()
-                item = self._queue.popleft()
-            if item is self._STOP:
-                return
-            address, message = item
-            try:
-                status = self._transport.push(address, message)
-            except Exception:
-                log.exception("transport.push failed for %s", address)
-                status = DeliveryStatus(delivered=False, attempts=0)
-            if not status.delivered:
-                log.warning(
-                    "dropping %s for %s after %d attempt(s)",
-                    message.get("kind"), address, status.attempts,
-                )
+                batch, self._queue = self._queue, deque()
+            pushed = 0
+            for item in batch:
+                if item is self._STOP:
+                    break
+                address, message = item
+                try:
+                    status = self._transport.push(address, message)
+                except Exception:
+                    log.exception("transport.push failed for %s", address)
+                    status = DeliveryStatus(delivered=False, attempts=0)
+                if not status.delivered:
+                    log.warning(
+                        "dropping %s for %s after %d attempt(s)",
+                        message.get("kind"), address, status.attempts,
+                    )
+                pushed += 1
             with self._idle:
-                self._pending -= 1
+                self._pending -= pushed
                 if not self._pending:
                     self._idle.notify_all()
+            if pushed < len(batch):  # stopped by close()
+                return
 
     def drain(self, timeout: float = 10.0) -> bool:
         """Block until the queue is empty and no delivery is in flight."""
@@ -243,6 +255,8 @@ class ContextBroker:
         self._next_sub = 1
         self._next_reg = 1
         self._seq = 0
+        # Push request ids "<boot>-<n>", unique across broker lifetimes.
+        self._push_ids = map(f"{uuid.uuid4().hex}-{{}}".format, itertools.count(1))
         self._dispatcher = _Dispatcher(self._transport, self._lock)
 
     # -- registries ---------------------------------------------------
@@ -301,8 +315,16 @@ class ContextBroker:
                     f"timestamp regression for {service_id!r}/{sample.topic!r}"
                 )
             self._cache[key] = sample
-            for _, sub in self._routes.get(key, ()):
-                self._enqueue_notification(sub, sample)
+            receivers = self._routes.get(key)
+            if receivers:
+                # One dict for every envelope of this publication: no
+                # transport or other reader may mutate a queued message.
+                shared = sample.to_dict()
+                self._dispatcher.enqueue([
+                    (sub.callback_address, make_envelope(
+                        "notify", {"subscription_id": sub.subscription_id, "sample": shared},
+                        next(self._push_ids)))
+                    for _, sub in receivers])
 
     def get_current_topic_value(self, subscription_id: str, topic: TopicId) -> ContextSample:
         """Pull a fresh sample from the subscription's selected provider."""
@@ -649,13 +671,10 @@ class ContextBroker:
         if after is not None:
             insort(self._routes.setdefault((topic, after), []), (n, sub))
 
-    def _enqueue_notification(self, sub: Subscription, sample: ContextSample) -> None:
-        self._dispatcher.enqueue(sub.callback_address, make_envelope(
-            "notify", {"subscription_id": sub.subscription_id, "sample": sample.to_dict()}))
-
     def _enqueue_advisory(self, sub: Subscription, topics: list[TopicId]) -> None:
-        self._dispatcher.enqueue(sub.callback_address, make_envelope(
-            "advisory", {"subscription_id": sub.subscription_id, "topics": list(topics)}))
+        self._dispatcher.enqueue([(sub.callback_address, make_envelope(
+            "advisory", {"subscription_id": sub.subscription_id, "topics": list(topics)},
+            next(self._push_ids)))])
 
 
 def _unprovisioned(profile: RequirementProfile, winners: tuple) -> list[TopicId]:

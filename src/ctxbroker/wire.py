@@ -34,9 +34,9 @@ from . import errors
 log = logging.getLogger(__name__)
 
 
-# Longest sleep a retry policy may ask for before one retry. The single
-# dispatch thread sleeps it, so a longer one would hold every later push.
-MAX_RETRY_DELAY_S = 60.0
+# Longest one message may hold the single dispatch thread, and so every
+# later push: each attempt waiting out TRANSPORT_TIMEOUT_S, plus each delay.
+MAX_RETRY_TOTAL_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -52,13 +52,16 @@ class RetryPolicy:
             raise ValueError(f"retry attempts must be an integer, at least 1: {self.attempts!r}")
         if not all(0 <= b < float("inf") for b in (self.backoff_initial, self.backoff_multiplier)):
             raise ValueError(f"retry backoffs must be finite and at least 0: {self}")
-        # The delays grow or shrink geometrically, so the first or the last is the largest.
+        worst = self.attempts * TRANSPORT_TIMEOUT_S
         try:
-            largest = max(self.delay(1), self.delay(self.attempts - 1)) if self.attempts > 1 else 0
+            for attempt in range(1, self.attempts):
+                if worst > MAX_RETRY_TOTAL_S:
+                    break
+                worst += self.delay(attempt)
         except OverflowError:
-            largest = float("inf")
-        if largest > MAX_RETRY_DELAY_S:
-            raise ValueError(f"retry delays must stay within {MAX_RETRY_DELAY_S:g} s: {self}")
+            worst = float("inf")
+        if worst > MAX_RETRY_TOTAL_S:
+            raise ValueError(f"retries must end within {MAX_RETRY_TOTAL_S:g} s per message: {self}")
 
     def delay(self, attempt: int) -> float:
         """Sleep before retry number ``attempt`` (counted from 1)."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import threading
 
 import pytest
@@ -11,6 +12,7 @@ from ctxbroker import errors
 from ctxbroker.broker import ContextBroker
 from ctxbroker.model import ContextSample, IndicatorCatalog, RequirementProfile, ServiceOffer
 from ctxbroker.selection import build_decision_matrix, oracle_select
+from ctxbroker.service import BrokerService, ServiceConfig
 
 from conftest import make_offer
 from helpers import RecordingTransport, random_catalog, random_offers, random_profile
@@ -30,6 +32,48 @@ def broker(threshold_catalog, transport):
 
 def sample_for(service_id, payload="p", at=1_000, topic="location"):
     return ContextSample(topic=topic, payload=payload, produced_at=at, service_id=service_id)
+
+
+# A push request id: the broker's boot id, a dash, and the push's number.
+PUSH_ID = re.compile(r"([0-9a-f]{32})-([1-9][0-9]*)")
+
+
+class GatedTransport(RecordingTransport):
+    """Records pushes like RecordingTransport, but push number ``hold_at``
+    (counted from 1) first sets ``holding`` and waits for ``gate``."""
+
+    def __init__(self):
+        super().__init__()
+        self.hold_at = 1
+        self.holding = threading.Event()
+        self.gate = threading.Event()
+
+    def push(self, callback_address, message):
+        if len(self.pushes) + 1 == self.hold_at:  # only the dispatch thread pushes
+            self.holding.set()
+            self.gate.wait(10)
+        return super().push(callback_address, message)
+
+
+@pytest.fixture
+def gated(threshold_catalog, threshold_profile):
+    """A broker whose one service cs-a serves three subscriptions,
+    app-0..app-2, and whose worker holds at its first push."""
+    transport = GatedTransport()
+    b = ContextBroker(threshold_catalog, transport=transport)
+    b.register_context_service(make_offer("cs-a", 0.85, 0.95, 0.99), "svc://a")
+    subs = [b.subscribe(f"app-{i}", threshold_profile, f"cb://app-{i}") for i in range(3)]
+    yield b, transport, subs
+    transport.gate.set()
+    b.close()
+
+
+def kinds_per_subscription(transport, subs):
+    """Each subscription's pushes, in order, as (kind, payload or topics)."""
+    return {sub: [(m["kind"], m["body"]["sample"]["payload"] if m["kind"] == "notify"
+                   else m["body"]["topics"])
+                  for m in transport.messages(f"cb://app-{i}")]
+            for i, sub in enumerate(subs)}
 
 
 class TestSubscribe:
@@ -362,6 +406,116 @@ class TestDeliveryOrderAndCompleteness:
             for m in transport.messages("cb://app-1", kind="notify")
         ]
         assert received == [("cs-a", "a1"), ("cs-b", "b1")]
+
+    def test_drain_waits_for_every_message_of_a_taken_batch(self, gated):
+        broker, transport, subs = gated
+        transport.hold_at = 3  # the last of one publication's three pushes
+        broker.notify_context_change("cs-a", sample_for("cs-a"))
+        assert transport.holding.wait(5)
+        assert len(transport.pushes) == 2
+        assert broker.drain(0.2) is False
+        transport.gate.set()
+        assert broker.drain(5) is True
+        assert len(transport.pushes) == 3
+
+    def test_fifo_per_subscription_across_publications_and_an_advisory(self, gated):
+        broker, transport, subs = gated
+        broker.notify_renegotiation(subs[0], ["primer"])  # holds the worker
+        assert transport.holding.wait(5)
+        broker.notify_context_change("cs-a", sample_for("cs-a", payload="a1", at=1))
+        for sub in subs:
+            broker.notify_renegotiation(sub, ["location"])
+        broker.notify_context_change("cs-a", sample_for("cs-a", payload="a2", at=2))
+        transport.gate.set()
+        assert broker.drain(5)
+        expected = [("notify", "a1"), ("advisory", ["location"]), ("notify", "a2")]
+        assert kinds_per_subscription(transport, subs) == {
+            sub: ([("advisory", ["primer"])] if i == 0 else []) + expected
+            for i, sub in enumerate(subs)}
+
+    def test_a_notify_without_receivers_queues_nothing(self, gated):
+        broker, transport, subs = gated
+        broker.register_context_service(make_offer("cs-b", 0.85, 0.95, 0.97), "svc://b")
+        assert broker.drain(5)
+        broker.notify_context_change("cs-b", sample_for("cs-b"))  # selected by no one
+        assert broker._dispatcher._pending == 0
+        assert broker.drain(0) is True
+        assert transport.pushes == []
+
+    def test_close_delivers_what_was_queued_before_it(self, gated):
+        broker, transport, subs = gated
+        broker.notify_renegotiation(subs[0], ["primer"])  # holds the worker
+        assert transport.holding.wait(5)
+        broker.notify_context_change("cs-a", sample_for("cs-a", payload="a1"))
+        # The close sentinel joins the publication's pushes in one batch.
+        threading.Timer(0.2, transport.gate.set).start()
+        broker.close()
+        assert kinds_per_subscription(transport, subs) == {
+            sub: ([("advisory", ["primer"])] if i == 0 else []) + [("notify", "a1")]
+            for i, sub in enumerate(subs)}
+
+
+class TestPushIdentity:
+    def test_one_publication_pushes_one_sample_under_distinct_ids(
+        self, broker, threshold_profile, transport
+    ):
+        broker.register_context_service(make_offer("cs-a", 0.85, 0.95, 0.99), "svc://a")
+        for i in range(5):
+            broker.subscribe(f"app-{i}", threshold_profile, f"cb://app-{i}")
+        sample = sample_for("cs-a", payload={"reading": 1})
+        broker.notify_context_change("cs-a", sample)
+        broker.drain()
+        pushes = [m for _, m in transport.pushes]
+        assert [m["kind"] for m in pushes] == ["notify"] * 5
+        assert all(m["body"]["sample"] == sample.to_dict() for m in pushes)
+        ids = [m["request_id"] for m in pushes]
+        assert len(set(ids)) == 5
+        assert all(PUSH_ID.fullmatch(i) for i in ids)
+
+    def test_advisories_take_ids_of_the_same_form(self, broker, threshold_profile, transport):
+        sub = broker.subscribe("app-1", threshold_profile, "cb://app-1")  # no provider yet
+        broker.notify_renegotiation(sub, ["location"])
+        broker.register_context_service(make_offer("cs-a", 0.85, 0.95, 0.99), "svc://a")
+        broker.notify_context_change("cs-a", sample_for("cs-a"))
+        broker.drain()
+        assert [m["kind"] for _, m in transport.pushes] == ["advisory", "advisory", "notify"]
+        found = [PUSH_ID.fullmatch(m["request_id"]) for _, m in transport.pushes]
+        assert all(found)
+        assert len({f.group(1) for f in found}) == 1  # one boot id
+        assert len({f.group(2) for f in found}) == 3
+
+    def test_two_brokers_never_share_a_push_id(self, threshold_catalog, threshold_profile):
+        ids = []
+        for _ in range(2):
+            transport = RecordingTransport()
+            broker = ContextBroker(threshold_catalog, transport=transport)
+            broker.subscribe("app-1", threshold_profile, "cb://app-1")
+            broker.register_context_service(make_offer("cs-a", 0.85, 0.95, 0.99), "svc://a")
+            broker.notify_context_change("cs-a", sample_for("cs-a"))
+            broker.drain()
+            broker.close()
+            ids.append({m["request_id"] for _, m in transport.pushes})
+        assert len(ids[0]) == len(ids[1]) == 2
+        assert not ids[0] & ids[1]
+
+    def test_a_restarted_service_never_reuses_a_push_id(
+        self, threshold_catalog, threshold_profile, tmp_path
+    ):
+        config = ServiceConfig(catalog=threshold_catalog, persist_path=tmp_path / "state.json")
+        ids = []
+        for life in range(2):
+            transport = RecordingTransport()
+            service = BrokerService(config, transport=transport)
+            if life == 0:
+                service.broker.register_context_service(
+                    make_offer("cs-a", 0.85, 0.95, 0.99), "svc://a")
+                service.broker.subscribe("app-1", threshold_profile, "cb://app-1")
+            service.broker.notify_context_change("cs-a", sample_for("cs-a", at=life))
+            service.broker.drain()
+            service.close()
+            ids.append([m["request_id"] for _, m in transport.pushes])
+        assert len(ids[0]) == len(ids[1]) == 1
+        assert ids[0] != ids[1]
 
 
 class TestEventLog:

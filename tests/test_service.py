@@ -368,6 +368,25 @@ class TestPushNotification:
         assert not status.delivered
         assert status.attempts == 2
 
+    @pytest.mark.parametrize("kwargs", [
+        {"attempts": 13, "backoff_multiplier": 1.0},  # 65 s of timeouts, 1.2 s of delays
+        {"attempts": 10**6, "backoff_multiplier": 1.0},
+        {"attempts": 2, "backoff_initial": 50.1},
+        {"attempts": 4, "backoff_initial": 1e-300, "backoff_multiplier": 1e200},  # overflows
+    ])
+    def test_retry_policy_refuses_more_than_a_minute_per_message(self, kwargs):
+        with pytest.raises(ValueError, match="60 s per message"):
+            RetryPolicy(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {},  # 15.3 s
+        {"attempts": 5, "backoff_initial": 0.5},  # 32.5 s
+        {"attempts": 12, "backoff_initial": 0.0},  # 60 s of timeouts
+        {"attempts": 2, "backoff_initial": 50.0},  # 10 s of timeouts, 50 s of delay
+    ])
+    def test_retry_policy_accepts_up_to_a_minute_per_message(self, kwargs):
+        RetryPolicy(**kwargs)
+
 
 class _CountingServer(ThreadingHTTPServer):
     """A loopback receiver that counts the connections it accepts and keeps
