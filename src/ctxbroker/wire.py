@@ -11,12 +11,14 @@ Pushes, pulls and WireClient requests reuse kept-alive HTTP/1.1
 connections with TCP_NODELAY at both ends, replace an idle connection the
 peer dropped, and resend a request only when sending it on a reused
 connection failed, so no message is sent more often than on new ones.
+A request, and send_json's answer, leave in one write. The client frames
+answers itself (RFC 9112) and, like a handler, reads no body longer than
+``MAX_BODY_BYTES``.
 """
 
 from __future__ import annotations
 
 import functools
-import http.client
 import json
 import logging
 import re
@@ -74,8 +76,8 @@ class DeliveryStatus:
     attempts: int
 
 
-# Largest request body an HTTP handler reads; a longer declared body is
-# refused before any of it is read.
+# Largest body an HTTP handler reads from a request, and a client from an
+# answer; a longer one is read no further than it takes to tell.
 MAX_BODY_BYTES = 1 << 20
 
 # Seconds an HTTP handler waits on a silent client socket, mid-body or
@@ -192,24 +194,24 @@ def read_body(handler: BaseHTTPRequestHandler) -> bytes:
 
 
 def send_json(handler: BaseHTTPRequestHandler, status: int, payload: Any) -> None:
-    """Answer the request with ``payload`` as a JSON document."""
+    """Answer the request with ``payload`` as a JSON document, the status
+    line, headers and body in one write."""
     data = json.dumps(payload).encode("utf-8")
-    handler.send_response(status)
-    handler.send_header("Content-Type", "application/json")
-    handler.send_header("Content-Length", str(len(data)))
-    if handler.close_connection:
-        handler.send_header("Connection", "close")
-    handler.end_headers()
-    handler.wfile.write(data)
+    handler.log_request(status)
+    close = "Connection: close\r\n" if handler.close_connection else ""
+    head = (f"{handler.protocol_version} {status} {handler.responses[status][0]}\r\n"
+            f"Server: {handler.version_string()}\r\nDate: {handler.date_time_string()}\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n{close}\r\n")
+    handler.wfile.write(head.encode("latin-1") + data)
 
 
 class JsonHandler(BaseHTTPRequestHandler):
     """Base of every HTTP handler here: keep-alive HTTP/1.1, a read
     timeout on silent sockets, and access lines at debug level.
 
-    TCP_NODELAY is on, because an answer's headers and body leave in two
-    sends: with Nagle's algorithm the body would wait for the client's
-    delayed ACK of the headers, ~40 ms on a reused connection.
+    TCP_NODELAY is on: send_json answers in one send, but send_error's
+    headers and body leave in two, and with Nagle's algorithm the body
+    would wait for the client's delayed ACK, ~40 ms on a reused connection.
     """
 
     protocol_version = "HTTP/1.1"
@@ -269,6 +271,99 @@ class Server(ThreadingHTTPServer):
         self.stop()
 
 
+class _BodyTooLong(OSError):
+    """An answer with a body over ``MAX_BODY_BYTES``, read no further."""
+
+    def __init__(self, status: int) -> None:
+        super().__init__(f"answer {status} has a body over {MAX_BODY_BYTES} bytes")
+        self.status = status
+
+
+class _Conn:
+    """One kept-alive HTTP/1.1 client connection: a socket with
+    TCP_NODELAY, and one buffered reader for all of its answers."""
+
+    def __init__(self, peer: tuple[str, int], timeout: float) -> None:
+        self.sock = socket.create_connection(peer, timeout=timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.reader = self.sock.makefile("rb")
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+    def answer(self) -> tuple[int, bytes, bool]:
+        """Read the next answer, after any 1xx interim ones (RFC 9112): its
+        status, its body, and whether the connection may carry another
+        request. A malformed or cut answer raises OSError; one whose body
+        exceeds ``MAX_BODY_BYTES``, _BodyTooLong."""
+        status = 100
+        while 100 <= status < 200:
+            line = self._line()
+            status_line = re.fullmatch(rb"HTTP/1\.(\d) (\d\d\d)(?: .*)?", line)
+            if not status_line:
+                raise OSError(f"malformed status line {line[:80]!r}")
+            status, fields = int(status_line[2]), self._fields()
+        keep = status_line[1] == b"1" and b"close" not in fields.get(b"connection", b"").lower()
+        coding, length = fields.get(b"transfer-encoding"), fields.get(b"content-length")
+        if status in (204, 304):
+            return status, b"", keep
+        if coding is not None and coding.rsplit(b",", 1)[-1].strip().lower() == b"chunked":
+            return status, self._chunked(status), keep
+        if coding is None and length is not None:
+            if not length.isdigit():
+                raise OSError(f"malformed Content-Length {length[:40]!r}")
+            if int(length) > MAX_BODY_BYTES:
+                raise _BodyTooLong(status)
+            return status, self._read(int(length)), keep
+        body = self.reader.read(MAX_BODY_BYTES + 1)  # delimited by the end of the stream
+        if len(body) > MAX_BODY_BYTES:
+            raise _BodyTooLong(status)
+        return status, body, False
+
+    def _fields(self) -> dict[bytes, bytes]:
+        """Header (or trailer) fields up to the empty line, by lower-case name."""
+        fields: dict[bytes, bytes] = {}
+        for _ in range(101):
+            line = self._line()
+            if not line:
+                return fields
+            name, _, value = line.partition(b":")
+            name, value = name.lower(), value.strip()
+            fields[name] = fields[name] + b"," + value if name in fields else value
+        raise OSError("answer has more than 100 header lines")
+
+    def _chunked(self, status: int) -> bytes:
+        """A chunked body; its trailer fields are dropped."""
+        body = bytearray()
+        while True:
+            size = self._line().partition(b";")[0].strip()
+            if not re.fullmatch(rb"[0-9A-Fa-f]+", size):
+                raise OSError(f"malformed chunk size {size[:40]!r}")
+            if len(body) + int(size, 16) > MAX_BODY_BYTES:
+                raise _BodyTooLong(status)
+            if not int(size, 16):
+                self._fields()
+                return bytes(body)
+            body += self._read(int(size, 16))
+            if self._line():
+                raise OSError("chunk longer than its size")
+
+    def _line(self) -> bytes:
+        """The next line, without its CRLF (or bare LF)."""
+        line = self.reader.readline(65537)
+        if not line.endswith(b"\n"):
+            raise OSError(f"answer cut short, or a line over 64 KiB: {line[:80]!r}")
+        return line.rstrip(b"\r\n")
+
+    def _read(self, size: int) -> bytes:
+        """The next ``size`` bytes of a body."""
+        data = self.reader.read(size)
+        if len(data) < size:
+            raise OSError(f"answer body cut short at {len(data)} of {size} bytes")
+        return data
+
+
 class _Pool:
     """Kept-alive HTTP/1.1 connections to many peers, the idle ones kept
     per ``(host, port)``.
@@ -284,17 +379,18 @@ class _Pool:
     def __init__(self, timeout: float) -> None:
         self.timeout = timeout
         self._lock = threading.Lock()
-        self._idle: dict[tuple[str, int], list[tuple[float, http.client.HTTPConnection]]] = {}
+        self._idle: dict[tuple[str, int], list[tuple[float, _Conn]]] = {}
         self._swept = time.monotonic()
 
     def exchange(self, method: str, url: str, payload: dict[str, Any] | None) -> tuple[int, bytes]:
         """One HTTP exchange with a JSON body out; the status and the raw
         answer in. A failure closes the connection and raises, OSError for
-        the transport. Only a request whose send failed on a reused
-        connection is sent again, once, on a new one: the peer dropped that
-        connection while it was idle, so it never read the request."""
+        the transport (_BodyTooLong for an answer over ``MAX_BODY_BYTES``).
+        Only a request whose send failed on a reused connection is sent
+        again, once, on a new one: the peer dropped that connection while
+        it was idle, so it never read the request."""
         parts = urllib.parse.urlsplit(url)
-        if parts.scheme != "http" or not parts.hostname:
+        if parts.scheme != "http" or not parts.hostname or re.search(r"[^!-~]", url):
             # Unreachable like a refused connection: a push retries, a pull fails upstream.
             raise OSError(f"not an http URL: {url!r}")
         try:
@@ -302,49 +398,51 @@ class _Pool:
         except ValueError as exc:  # a port that is not a number or out of range
             raise OSError(f"bad port in {url!r}") from exc
         target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        body = None
-        headers = {"Accept": "application/json"}
+        head = (f"{method} {target} HTTP/1.1\r\nHost: {parts.netloc.rpartition('@')[2]}\r\n"
+                "Accept: application/json\r\n")
         if payload is not None:
-            body = json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
+            # json.dumps escapes every non-ASCII character: one char, one byte.
+            text = json.dumps(payload)
+            head += f"Content-Type: application/json\r\nContent-Length: {len(text)}\r\n\r\n{text}"
+        else:
+            head += "\r\n"
+        data = head.encode("ascii")
         conn, reused = self._take(peer)
         keep = False
         try:
             try:
-                conn.request(method, target, body, headers)
+                conn.sock.sendall(data)
             except (BrokenPipeError, ConnectionResetError):
                 if not reused:
                     raise
                 conn.close()
-                conn.request(method, target, body, headers)  # reconnects
+                conn = _Conn(peer, self.timeout)
+                conn.sock.sendall(data)
             if _QUICKACK is not None:
                 # A peer that writes headers and body in two sends, with
                 # Nagle on, holds the body until the headers are acked.
                 conn.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
-            response = conn.getresponse()
-            raw = response.read()
-            keep = not response.will_close
+            status, raw, keep = conn.answer()
         finally:
             if keep:
                 self._put(peer, conn)
             else:
                 conn.close()
-        return response.status, raw
+        return status, raw
 
-    def _take(self, peer: tuple[str, int]) -> tuple[http.client.HTTPConnection, bool]:
+    def _take(self, peer: tuple[str, int]) -> tuple[_Conn, bool]:
         """An idle connection to ``peer`` the peer has not closed, or a new
         one; and whether it was reused."""
         with self._lock:
             idle = self._idle.get(peer, [])
             while idle:
                 _, conn = idle.pop()
-                if _alive(conn.sock):
+                if _alive(conn):
                     return conn, True
                 conn.close()
-        # http.client sets TCP_NODELAY on each socket it connects.
-        return http.client.HTTPConnection(*peer, timeout=self.timeout), False
+        return _Conn(peer, self.timeout), False
 
-    def _put(self, peer: tuple[str, int], conn: http.client.HTTPConnection) -> None:
+    def _put(self, peer: tuple[str, int], conn: _Conn) -> None:
         """Keep ``conn`` idle for ``peer``, unless ``_IDLE_PER_PEER`` wait
         already; and, once per ``READ_TIMEOUT_S``, close every connection
         idle for longer than that, whichever its peer."""
@@ -377,16 +475,17 @@ class _Pool:
             conn.close()
 
 
-def _alive(sock: socket.socket) -> bool:
-    """Whether an idle socket can carry the next request: nothing to read
-    on it yet. The peer closed a readable one (or sent what nobody asked
-    for)."""
+def _alive(conn: _Conn) -> bool:
+    """Whether an idle connection can carry the next request: nothing to
+    read on it yet, on its socket or held by its reader. The peer closed
+    a readable one (or sent what nobody asked for)."""
+    sock = conn.sock
     timeout = sock.gettimeout()
     sock.settimeout(0)
     try:
         sock.recv(1, socket.MSG_PEEK)
     except BlockingIOError:
-        return True
+        return not conn.reader.peek(1)  # does not block: the socket is non-blocking
     except OSError:
         return False
     finally:
@@ -421,6 +520,8 @@ class HttpTransport:
                 time.sleep(policy.delay(attempt - 1))
             try:
                 status, _ = self._pool.exchange("POST", callback_address, message)
+            except _BodyTooLong as exc:  # answered: resending could deliver it twice
+                status = exc.status
             except OSError as exc:
                 log.debug("push attempt %d to %s failed: %s", attempt, callback_address, exc)
                 continue

@@ -1,0 +1,281 @@
+"""HTTP/1.1 framing of wire's client connections against a raw-socket
+peer that answers with canned bytes, the bound on answer bodies, and one
+write per request and per answer."""
+
+from __future__ import annotations
+
+import json
+import re
+import socket
+import threading
+import time
+
+import pytest
+
+from ctxbroker.errors import UpstreamUnavailable
+from ctxbroker.wire import (
+    MAX_BODY_BYTES,
+    HttpTransport,
+    JsonHandler,
+    RetryPolicy,
+    Server,
+    make_envelope,
+    send_json,
+)
+
+FAST_RETRY = RetryPolicy(attempts=3, backoff_initial=0.02)
+
+
+def answer(body=b"{}", *fields, version=b"HTTP/1.1", status=b"200 OK"):
+    """An answer's bytes: the status line, ``fields`` and, unless a field
+    frames the body otherwise, its Content-Length; then ``body``."""
+    if not any(re.match(rb"(?i)(content-length|transfer-encoding):", f) for f in fields):
+        fields += (b"Content-Length: %d" % len(body),)
+    return b"\r\n".join((version + b" " + status, *fields, b"", body))
+
+
+class _CannedPeer:
+    """A raw-socket HTTP peer on loopback. It reads each request whole,
+    answers it with the next of ``answers`` byte for byte, and closes the
+    connection after an answer marked to close (or when none is left).
+    It counts the connections it accepts and those that have ended, and
+    keeps each request it read."""
+
+    def __init__(self, answers):
+        self.answers = list(answers)  # (bytes, close after sending)
+        self.requests = []
+        self.connections = 0
+        self.ended = 0
+        self._socks = []
+        self._stopped = threading.Event()
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self.url = "http://127.0.0.1:%d" % self._listener.getsockname()[1]
+        self._threads = [threading.Thread(target=self._accept, daemon=True)]
+        self._threads[0].start()
+
+    def _accept(self):
+        while not self._stopped.is_set():
+            try:
+                sock, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            sock.settimeout(5)
+            self._socks.append(sock)
+            self.connections += 1
+            thread = threading.Thread(target=self._serve, args=(sock,), daemon=True)
+            self._threads.append(thread)
+            thread.start()
+
+    def _serve(self, sock):
+        buf = b""
+        try:
+            while True:
+                while b"\r\n\r\n" not in buf:
+                    chunk = sock.recv(65536)
+                    if not chunk:
+                        return
+                    buf += chunk
+                head, _, buf = buf.partition(b"\r\n\r\n")
+                declared = re.search(rb"(?i)\r\ncontent-length: *(\d+)", head)
+                length = int(declared.group(1)) if declared else 0
+                while len(buf) < length:
+                    buf += sock.recv(65536)
+                self.requests.append(head + b"\r\n\r\n" + buf[:length])
+                buf = buf[length:]
+                data, close = self.answers.pop(0) if self.answers else (b"", True)
+                sock.sendall(data)
+                if close:
+                    return
+        except OSError:
+            pass
+        finally:
+            sock.close()
+            self.ended += 1
+
+    def wait_ended(self, count):
+        deadline = time.monotonic() + 5
+        while self.ended < count and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return self.ended
+
+    def stop(self):
+        self._stopped.set()
+        for sock in self._socks:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        for thread in self._threads:
+            thread.join(timeout=5)
+        self._listener.close()
+
+
+@pytest.fixture
+def peer():
+    """Start a _CannedPeer with the given answers; stopped after the test."""
+    peers = []
+
+    def start(*answers):
+        peers.append(_CannedPeer(answers))
+        return peers[-1]
+
+    yield start
+    for started in peers:
+        started.stop()
+
+
+@pytest.fixture
+def transport():
+    transport = HttpTransport(retry=FAST_RETRY)
+    yield transport
+    transport.close()
+
+
+def push(transport, peer):
+    return transport.push(peer.url + "/hook", make_envelope("notify", {}))
+
+
+TOPIC_X = b'{"topic": "x"}'
+
+
+class TestAnswerFraming:
+    def test_chunked_answer(self, peer, transport):
+        chunked = answer(b'7;ext=1\r\n{"topic\r\n7\r\n": "x"}\r\n0\r\nTrailer: t\r\n\r\n',
+                         b"Transfer-Encoding: chunked")
+        server = peer((chunked, False), (answer(TOPIC_X), False))
+        assert transport.pull(server.url, "x") == {"topic": "x"}
+        assert transport.pull(server.url, "x") == {"topic": "x"}
+        assert server.connections == 1
+
+    def test_http_1_0_answer_without_length_is_read_to_its_end(self, peer, transport):
+        server = peer((b"HTTP/1.0 200 OK\r\nServer: old\r\n\r\n" + TOPIC_X, True),
+                      (answer(TOPIC_X), False))
+        assert transport.pull(server.url, "x") == {"topic": "x"}
+        assert transport.pull(server.url, "x") == {"topic": "x"}
+        assert server.connections == 2  # the first was not pooled
+
+    def test_interim_100_continue_is_skipped(self, peer, transport):
+        server = peer((b"HTTP/1.1 100 Continue\r\n\r\n" + answer(), False), (answer(), False))
+        for _ in range(2):
+            status = push(transport, server)
+            assert status.delivered and status.attempts == 1
+        assert server.connections == 1
+
+    def test_connection_close_on_http_1_1_is_not_pooled(self, peer, transport):
+        server = peer((answer(b"{}", b"Connection: close"), False), (answer(), False))
+        for _ in range(2):
+            assert push(transport, server).delivered
+        assert server.connections == 2
+        assert server.wait_ended(1) == 1  # the client closed the first
+
+    @pytest.mark.parametrize("bad", [
+        b"HTTP/1.1 2x0 OK\r\nContent-Length: 2\r\n\r\n{}",
+        b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n{}",
+        answer(b"{}", *[b"X-Field-%d: %d" % (i, i) for i in range(101)]),
+    ], ids=["malformed-status-line", "body-cut-short", "101-header-lines"])
+    def test_broken_answer_is_a_transport_failure(self, peer, transport, bad):
+        server = peer(*[(bad, True)] * (FAST_RETRY.attempts + 1))
+        status = push(transport, server)
+        assert not status.delivered and status.attempts == FAST_RETRY.attempts
+        assert len(server.requests) == FAST_RETRY.attempts
+        with pytest.raises(UpstreamUnavailable) as caught:
+            transport.pull(server.url, "x")
+        assert caught.value.code == "UPSTREAM_UNAVAILABLE"
+
+    def test_unasked_bytes_after_an_answer_are_not_the_next_answer(self, peer, transport):
+        unasked = answer(b'{"topic": "unasked"}')
+        server = peer((answer(TOPIC_X) + unasked, False), (answer(b'{"topic": "y"}'), False))
+        assert transport.pull(server.url, "x") == {"topic": "x"}
+        assert transport.pull(server.url, "y") == {"topic": "y"}
+
+
+OVERSIZED = {
+    "declared": answer(b"{", b"Content-Length: %d" % (MAX_BODY_BYTES + 1)),
+    "chunked": answer(b"%x\r\n{" % (MAX_BODY_BYTES + 1), b"Transfer-Encoding: chunked"),
+    "chunks": answer(b"".join(b"%x\r\n%s\r\n" % (len(c), c) for c in [b" " * (1 << 19)] * 3),
+                     b"Transfer-Encoding: chunked"),
+    "to-the-end": b"HTTP/1.0 200 OK\r\n\r\n" + b" " * (MAX_BODY_BYTES + 1),
+}
+
+
+class TestAnswerBound:
+    @pytest.mark.parametrize("framing", OVERSIZED)
+    def test_oversized_pull_answer_is_upstream_unavailable(self, peer, transport, framing):
+        server = peer((OVERSIZED[framing], framing == "to-the-end"), (answer(TOPIC_X), False))
+        with pytest.raises(UpstreamUnavailable):
+            transport.pull(server.url, "x")
+        assert server.wait_ended(1) == 1  # closed, not pooled
+        assert transport.pull(server.url, "x") == {"topic": "x"}
+        assert server.connections == 2
+
+    @pytest.mark.parametrize("framing", OVERSIZED)
+    def test_oversized_push_answer_counts_by_its_status_once(self, peer, transport, framing):
+        server = peer((OVERSIZED[framing], framing == "to-the-end"), (answer(), False))
+        status = push(transport, server)
+        assert status.delivered and status.attempts == 1
+        assert len(server.requests) == 1  # not resent: the consumer has it
+        assert server.wait_ended(1) == 1
+        assert push(transport, server).delivered
+        assert server.connections == 2
+
+    def test_oversized_4xx_push_answer_drops_the_message(self, peer, transport):
+        server = peer((answer(b"", b"Content-Length: %d" % (1 << 30), status=b"410 Gone"), False))
+        status = push(transport, server)
+        assert not status.delivered and status.attempts == 1
+        assert len(server.requests) == 1
+
+
+class _Answering(JsonHandler):
+    # With Nagle's algorithm on, an answer written in two sends arrives in
+    # two recvs: the second send waits for the ACK of the first.
+    disable_nagle_algorithm = False
+
+    def do_GET(self):
+        send_json(self, 200, {"topic": self.path.rsplit("/", 1)[-1]})
+
+
+class TestOneWrite:
+    def test_a_request_with_a_body_leaves_in_one_sendall(self, peer, transport, monkeypatch):
+        writes = []
+
+        class Counted(socket.socket):
+            def sendall(self, data, *args):
+                writes.append(bytes(data))
+                return super().sendall(data, *args)
+
+            def send(self, data, *args):
+                writes.append(bytes(data))
+                return super().send(data, *args)
+
+        connect = socket.create_connection
+
+        def counted(*args, **kwargs):
+            sock = connect(*args, **kwargs)
+            wrapped = Counted(fileno=sock.detach())
+            wrapped.settimeout(kwargs.get("timeout"))
+            return wrapped
+
+        monkeypatch.setattr(socket, "create_connection", counted)
+        server = peer((answer(), False), (answer(), False))
+        for text in ("plain", "\u00fc\u2603" * 50):
+            message = make_envelope("notify", {"text": text})
+            assert transport.push(server.url + "/hook", message).delivered
+        assert server.connections == 1
+        assert len(writes) == 2  # one per push
+        assert writes == server.requests
+        for data in writes:
+            head, _, body = data.partition(b"\r\n\r\n")
+            assert json.loads(body)["kind"] == "notify"
+            assert b"\r\nContent-Length: %d\r\n" % len(body) in head + b"\r\n"
+
+    def test_a_server_answer_arrives_in_one_recv(self):
+        with Server("127.0.0.1", 0, _Answering) as server:
+            with socket.create_connection((server.host, server.port), timeout=5) as sock:
+                for topic in ("a", "b", "c"):
+                    sock.sendall(b"GET /topics/%s HTTP/1.1\r\nHost: x\r\n\r\n" % topic.encode())
+                    head, _, body = sock.recv(65536).partition(b"\r\n\r\n")
+                    assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+                    length = int(re.search(rb"\r\nContent-Length: (\d+)", head).group(1))
+                    assert length == len(body)
+                    assert json.loads(body) == {"topic": topic}
