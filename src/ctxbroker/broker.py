@@ -76,7 +76,11 @@ class Transport(Protocol):
     """How the broker reaches consumers (push) and services (pull).
 
     A transport must not mutate a pushed message: the envelopes of one
-    publication share one sample dict.
+    publication share one sample dict. A transport may also define
+    ``push_many(items) -> list[DeliveryStatus]``, which delivers a list of
+    ``(callback_address, message)`` pairs like ``push`` on each in order,
+    FIFO per address, one status per pair; the dispatch worker then hands
+    it each batch it takes, and otherwise pushes one message at a time.
     """
 
     def push(self, callback_address: str, message: dict[str, Any]) -> DeliveryStatus:
@@ -172,33 +176,54 @@ class _Dispatcher:
             self._ready.notify()
 
     def _run(self) -> None:
+        push_many = getattr(self._transport, "push_many", None)
         while True:
             with self._ready:
                 while not self._queue:
                     self._ready.wait()
                 batch, self._queue = self._queue, deque()
-            pushed = 0
-            for item in batch:
-                if item is self._STOP:
-                    break
-                address, message = item
-                try:
-                    status = self._transport.push(address, message)
-                except Exception:
-                    log.exception("transport.push failed for %s", address)
-                    status = DeliveryStatus(delivered=False, attempts=0)
-                if not status.delivered:
-                    log.warning(
-                        "dropping %s for %s after %d attempt(s)",
-                        message.get("kind"), address, status.attempts,
-                    )
-                pushed += 1
+            if push_many is not None:
+                pushed = self._push_many(push_many, batch)
+            else:
+                pushed = 0
+                for item in batch:
+                    if item is self._STOP:
+                        break
+                    address, message = item
+                    try:
+                        status = self._transport.push(address, message)
+                    except Exception:
+                        log.exception("transport.push failed for %s", address)
+                        status = DeliveryStatus(delivered=False, attempts=0)
+                    if not status.delivered:
+                        log.warning(
+                            "dropping %s for %s after %d attempt(s)",
+                            message.get("kind"), address, status.attempts,
+                        )
+                    pushed += 1
             with self._idle:
                 self._pending -= pushed
                 if not self._pending:
                     self._idle.notify_all()
             if pushed < len(batch):  # stopped by close()
                 return
+
+    def _push_many(self, push_many: Callable, batch: deque) -> int:
+        """Push the batch up to the close sentinel in one transport call;
+        the number of messages pushed."""
+        items = list(itertools.takewhile(lambda item: item is not self._STOP, batch))
+        try:
+            statuses = push_many(items)
+        except Exception:
+            log.exception("transport.push_many failed for %d message(s)", len(items))
+            statuses = [DeliveryStatus(delivered=False, attempts=0)] * len(items)
+        for (address, message), status in zip(items, statuses):
+            if not status.delivered:
+                log.warning(
+                    "dropping %s for %s after %d attempt(s)",
+                    message.get("kind"), address, status.attempts,
+                )
+        return len(items)
 
     def drain(self, timeout: float = 10.0) -> bool:
         """Block until the queue is empty and no delivery is in flight."""

@@ -8,12 +8,17 @@ consumer-supplied callback URLs as the same envelope shape.
 Path templates and their quoting, the HTTP handler base and the server
 live here, for the broker service and the simulated endpoints alike.
 Pushes, pulls and WireClient requests reuse kept-alive HTTP/1.1
-connections with TCP_NODELAY at both ends, replace an idle connection the
-peer dropped, and resend a request only when sending it on a reused
-connection failed, so no message is sent more often than on new ones.
-A request, and send_json's answer, leave in one write. The client frames
-answers itself (RFC 9112) and, like a handler, reads no body longer than
-``MAX_BODY_BYTES``.
+connections with TCP_NODELAY at both ends and replace an idle connection
+the peer dropped. HttpTransport.push_many pipelines consecutive pushes to
+one host: each run of them, at most one per callback address and
+``_RUN_BYTES`` in all, leaves in one write and its answers are read in
+order. A push is sent again within its attempt only when the peer cannot
+have read it: the send on a reused connection failed, or an earlier
+answer closed the connection. Every other failure spends an attempt, and
+later attempts go alone, so no message is sent more often than its retry
+policy allows. A request, and send_json's answer, leave in one write.
+The client frames answers itself (RFC 9112) and, like a handler, reads
+no body longer than ``MAX_BODY_BYTES``.
 """
 
 from __future__ import annotations
@@ -96,6 +101,12 @@ _IDLE_PER_PEER = 4
 
 # Linux's socket option that sends the next ACKs at once, where it exists.
 _QUICKACK = getattr(socket, "TCP_QUICKACK", None)
+
+# Request bytes one pipelined run of pushes may hold. The run leaves in
+# one sendall before any answer is read, so it must fit in the peer's
+# socket receive buffer (Linux: 128 KiB by default) even when the peer,
+# blocked writing answers nobody reads yet, reads no more of it.
+_RUN_BYTES = 64 * 1024
 
 # How each request kind travels over HTTP: verb and path template. A
 # template's {fields} are body keys; a POST carries the envelope instead.
@@ -364,14 +375,47 @@ class _Conn:
         return data
 
 
+# A request as a pool sends it: its peer ``(host, port)`` and its bytes.
+_Request = tuple[tuple[str, int], bytes]
+
+# An answer as a pool reads it: its status and raw body, or the OSError
+# that lost it.
+_Answer = tuple[int, bytes] | OSError
+
+
+def _request(method: str, url: str, payload: dict[str, Any] | None) -> _Request:
+    """The peer ``(host, port)`` of ``url`` and the bytes of one request to
+    it, with ``payload`` as its JSON body. A URL that is not plain http
+    raises OSError: unreachable like a refused connection, so a push
+    retries and a pull fails upstream."""
+    parts = urllib.parse.urlsplit(url)
+    if parts.scheme != "http" or not parts.hostname or re.search(r"[^!-~]", url):
+        raise OSError(f"not an http URL: {url!r}")
+    try:
+        peer = (parts.hostname, parts.port or 80)
+    except ValueError as exc:  # a port that is not a number or out of range
+        raise OSError(f"bad port in {url!r}") from exc
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    head = (f"{method} {target} HTTP/1.1\r\nHost: {parts.netloc.rpartition('@')[2]}\r\n"
+            "Accept: application/json\r\n")
+    if payload is not None:
+        # json.dumps escapes every non-ASCII character: one char, one byte.
+        text = json.dumps(payload)
+        head += f"Content-Type: application/json\r\nContent-Length: {len(text)}\r\n\r\n{text}"
+    else:
+        head += "\r\n"
+    return peer, head.encode("ascii")
+
+
 class _Pool:
     """Kept-alive HTTP/1.1 connections to many peers, the idle ones kept
     per ``(host, port)``.
 
-    Each exchange takes a connection out for itself and puts it back
-    after reading the whole answer, so two threads never share one. The
-    most recently returned connection is taken first, and a connection
-    idle for longer than ``READ_TIMEOUT_S`` is closed, so the pool holds
+    Each exchange, or pipelined run, takes a connection out for itself
+    and puts it back after reading all its answers, so two threads never
+    share one. The most recently returned connection is taken first, and
+    a connection idle for longer than ``READ_TIMEOUT_S`` is closed, so the
+    pool holds
     about as many connections per peer as that peer has seen in flight
     at once lately, and none to a peer it no longer reaches.
     """
@@ -384,32 +428,34 @@ class _Pool:
 
     def exchange(self, method: str, url: str, payload: dict[str, Any] | None) -> tuple[int, bytes]:
         """One HTTP exchange with a JSON body out; the status and the raw
-        answer in. A failure closes the connection and raises, OSError for
-        the transport (_BodyTooLong for an answer over ``MAX_BODY_BYTES``).
-        Only a request whose send failed on a reused connection is sent
+        answer in: ``pipeline`` with one request, raising the OSError that
+        lost its answer (_BodyTooLong for one over ``MAX_BODY_BYTES``)."""
+        peer, data = _request(method, url, payload)
+        [answer] = self.pipeline(peer, [data])
+        if isinstance(answer, OSError):
+            raise answer
+        return answer
+
+    def pipeline(self, peer: tuple[str, int], requests: list[bytes]) -> list[_Answer]:
+        """Send ``requests`` to ``peer`` in one write on one connection and
+        read their answers in order (HTTP/1.1 pipelining, RFC 9112 9.3.2).
+
+        Each request gets its status and raw answer, or the OSError that
+        lost it: a failed connect or send loses every answer, a failed read
+        that answer and every later one. An answer over ``MAX_BODY_BYTES``
+        is _BodyTooLong, and the later ones are lost. After an answer that
+        closes the connection the peer reads no further, so the list stops
+        short of the requests it cut off. A failure closes the connection.
+        Only requests whose send failed on a reused connection are sent
         again, once, on a new one: the peer dropped that connection while
-        it was idle, so it never read the request."""
-        parts = urllib.parse.urlsplit(url)
-        if parts.scheme != "http" or not parts.hostname or re.search(r"[^!-~]", url):
-            # Unreachable like a refused connection: a push retries, a pull fails upstream.
-            raise OSError(f"not an http URL: {url!r}")
-        try:
-            peer = (parts.hostname, parts.port or 80)
-        except ValueError as exc:  # a port that is not a number or out of range
-            raise OSError(f"bad port in {url!r}") from exc
-        target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-        head = (f"{method} {target} HTTP/1.1\r\nHost: {parts.netloc.rpartition('@')[2]}\r\n"
-                "Accept: application/json\r\n")
-        if payload is not None:
-            # json.dumps escapes every non-ASCII character: one char, one byte.
-            text = json.dumps(payload)
-            head += f"Content-Type: application/json\r\nContent-Length: {len(text)}\r\n\r\n{text}"
-        else:
-            head += "\r\n"
-        data = head.encode("ascii")
-        conn, reused = self._take(peer)
+        it was idle, so it never read them.
+        """
+        answers: list[_Answer] = []
+        conn = None
         keep = False
         try:
+            conn, reused = self._take(peer)
+            data = b"".join(requests)
             try:
                 conn.sock.sendall(data)
             except (BrokenPipeError, ConnectionResetError):
@@ -422,13 +468,24 @@ class _Pool:
                 # A peer that writes headers and body in two sends, with
                 # Nagle on, holds the body until the headers are acked.
                 conn.sock.setsockopt(socket.IPPROTO_TCP, _QUICKACK, 1)
-            status, raw, keep = conn.answer()
+            for _ in requests:
+                keep = False  # until this answer is read whole
+                status, raw, keep = conn.answer()
+                answers.append((status, raw))
+                if not keep:
+                    break
+        except OSError as exc:
+            keep = False
+            answers.append(exc)
+            lost = OSError(f"answer lost with its connection: {exc}")
+            answers += [lost] * (len(requests) - len(answers))
         finally:
-            if keep:
-                self._put(peer, conn)
-            else:
-                conn.close()
-        return status, raw
+            if conn is not None:
+                if keep:
+                    self._put(peer, conn)
+                else:
+                    conn.close()
+        return answers
 
     def _take(self, peer: tuple[str, int]) -> tuple[_Conn, bool]:
         """An idle connection to ``peer`` the peer has not closed, or a new
@@ -507,28 +564,67 @@ class HttpTransport:
         self._pool = _Pool(TRANSPORT_TIMEOUT_S)
 
     def push(self, callback_address: str, message: dict[str, Any]) -> DeliveryStatus:
-        """POST a push envelope to a consumer callback URL, with bounded retry.
+        """POST a push envelope to a consumer callback URL: push_many of one."""
+        return self.push_many([(callback_address, message)])[0]
 
-        Connection failures and other answers are retried, but a 4xx answer
-        drops the message at once. Returns a status instead of raising:
-        exhausted retries mean the message is dropped (and logged) rather
-        than redelivered later.
+    def push_many(self, items: list[tuple[str, dict[str, Any]]]) -> list[DeliveryStatus]:
+        """POST each ``(callback_address, message)`` in order, with bounded
+        retry; one status per item, never raising.
+
+        Consecutive messages to one ``(host, port)`` leave as one pipelined
+        run, one write on one kept-alive connection, holding each address
+        at most once and at most ``_RUN_BYTES`` of requests (a longer
+        request goes alone). A 2xx answer delivers its message and a 4xx
+        drops it, after 1 attempt; an answer over ``MAX_BODY_BYTES`` counts
+        by its status and is not resent, since the consumer has the
+        message. A 5xx or lost answer spends attempt 1, and that message
+        retries alone from attempt 2 before the next run leaves, so no
+        later message to its address overtakes it. The messages an answer
+        that closes the connection cut off, which the peer never read,
+        lead the next run at once as attempt 1, and that peer's runs hold
+        one message for the rest of the batch. Exhausted retries drop the
+        message (the dispatcher logs it) rather than redeliver it later.
         """
+        requests: list[_Request | None] = []
+        statuses: list[DeliveryStatus] = []
+        closing: set[tuple[str, int]] = set()
+        while len(statuses) < len(items):
+            start = len(statuses)
+            end = _run_end(items, requests, start, closing)
+            first = requests[start]
+            if first is None:  # not an http URL, or a body JSON cannot encode
+                statuses.append(self._retry(*items[start], 1))
+                continue
+            peer = first[0]
+            answers = self._pool.pipeline(peer, [requests[i][1] for i in range(start, end)])
+            if len(answers) < end - start:
+                closing.add(peer)
+            for (address, message), answer in zip(items[start:end], answers):
+                settled = _settled(answer, 1)
+                if settled is None:
+                    log.debug("push attempt 1 to %s failed: %s", address, answer)
+                    settled = self._retry(address, message, 2)
+                statuses.append(settled)
+        return statuses
+
+    def _retry(self, address: str, message: dict[str, Any], first: int) -> DeliveryStatus:
+        """Send one message alone from attempt ``first`` on, each attempt
+        after the first behind its policy delay."""
         policy = self.retry
-        for attempt in range(1, policy.attempts + 1):
+        for attempt in range(first, policy.attempts + 1):
             if attempt > 1:
                 time.sleep(policy.delay(attempt - 1))
             try:
-                status, _ = self._pool.exchange("POST", callback_address, message)
-            except _BodyTooLong as exc:  # answered: resending could deliver it twice
-                status = exc.status
+                answer: _Answer = self._pool.exchange("POST", address, message)
             except OSError as exc:
-                log.debug("push attempt %d to %s failed: %s", attempt, callback_address, exc)
-                continue
-            if 200 <= status < 300:
-                return DeliveryStatus(delivered=True, attempts=attempt)
-            if 400 <= status < 500:
-                return DeliveryStatus(delivered=False, attempts=attempt)
+                answer = exc
+            except (TypeError, ValueError):  # json.dumps: never sent, so 0 attempts
+                log.exception("cannot encode %s for %s", message.get("kind"), address)
+                return DeliveryStatus(delivered=False, attempts=0)
+            settled = _settled(answer, attempt)
+            if settled is not None:
+                return settled
+            log.debug("push attempt %d to %s failed: %s", attempt, address, answer)
         return DeliveryStatus(delivered=False, attempts=policy.attempts)
 
     def pull(self, service_address: str, topic: str) -> dict[str, Any]:
@@ -547,6 +643,54 @@ class HttpTransport:
 
     def close(self) -> None:
         self._pool.close()
+
+
+def _run_end(items: list[tuple[str, dict[str, Any]]], requests: list[_Request | None],
+             start: int, closing: set[tuple[str, int]]) -> int:
+    """Where the run of pushes from ``start`` ends: before the first later
+    request to another peer, to an address already in the run, or past
+    ``_RUN_BYTES`` in all; right after ``start`` when its peer is in
+    ``closing`` or its request cannot be built (None in ``requests``).
+
+    Each request is built into ``requests`` when first looked at, a run
+    at a time: the dispatch thread, which holds the interpreter while it
+    encodes, lets the handler threads in at each run's send.
+    """
+    end, seen, size = start, set(), 0
+    while end < len(items):
+        if end == len(requests):
+            address, message = items[end]
+            try:
+                requests.append(_request("POST", address, message))
+            except (OSError, TypeError, ValueError):  # sent alone, to fail there
+                requests.append(None)
+        request = requests[end]
+        if end == start:
+            if request is None or request[0] in closing:
+                return end + 1
+        elif (request is None or request[0] != requests[start][0]
+              or items[end][0] in seen or size + len(request[1]) > _RUN_BYTES):
+            return end
+        seen.add(items[end][0])
+        size += len(request[1])
+        end += 1
+    return end
+
+
+def _settled(answer: _Answer, attempt: int) -> DeliveryStatus | None:
+    """The status ``answer`` settles a push with at ``attempt``: a 2xx
+    delivers it and a 4xx drops it, and an answer over ``MAX_BODY_BYTES``
+    counts by its status, since the consumer has the message. None, for
+    a retry, after a lost answer or any other status, such as a 5xx."""
+    if isinstance(answer, _BodyTooLong):
+        status = answer.status
+    elif isinstance(answer, OSError):
+        return None
+    else:
+        status = answer[0]
+        if not (200 <= status < 300 or 400 <= status < 500):
+            return None
+    return DeliveryStatus(delivered=200 <= status < 300, attempts=attempt)
 
 
 class WireError(Exception):

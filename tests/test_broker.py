@@ -55,11 +55,25 @@ class GatedTransport(RecordingTransport):
         return super().push(callback_address, message)
 
 
-@pytest.fixture
-def gated(threshold_catalog, threshold_profile):
+class GatedBatchTransport(GatedTransport):
+    """A GatedTransport that also has ``push_many``, so the dispatch worker
+    hands it each batch whole; it records the length of each."""
+
+    def __init__(self):
+        super().__init__()
+        self.batches = []
+
+    def push_many(self, items):
+        self.batches.append(len(items))
+        return [self.push(address, message) for address, message in items]
+
+
+@pytest.fixture(params=[GatedTransport, GatedBatchTransport], ids=["push", "push_many"])
+def gated(request, threshold_catalog, threshold_profile):
     """A broker whose one service cs-a serves three subscriptions,
-    app-0..app-2, and whose worker holds at its first push."""
-    transport = GatedTransport()
+    app-0..app-2, and whose worker holds at its first push; its transport
+    pushes one message at a time, or takes each batch whole."""
+    transport = request.param()
     b = ContextBroker(threshold_catalog, transport=transport)
     b.register_context_service(make_offer("cs-a", 0.85, 0.95, 0.99), "svc://a")
     subs = [b.subscribe(f"app-{i}", threshold_profile, f"cb://app-{i}") for i in range(3)]
@@ -432,6 +446,8 @@ class TestDeliveryOrderAndCompleteness:
         assert kinds_per_subscription(transport, subs) == {
             sub: ([("advisory", ["primer"])] if i == 0 else []) + expected
             for i, sub in enumerate(subs)}
+        if isinstance(transport, GatedBatchTransport):
+            assert transport.batches == [1, 9]  # all queued behind the primer, in one call
 
     def test_a_notify_without_receivers_queues_nothing(self, gated):
         broker, transport, subs = gated
@@ -453,6 +469,8 @@ class TestDeliveryOrderAndCompleteness:
         assert kinds_per_subscription(transport, subs) == {
             sub: ([("advisory", ["primer"])] if i == 0 else []) + [("notify", "a1")]
             for i, sub in enumerate(subs)}
+        if isinstance(transport, GatedBatchTransport):
+            assert transport.batches == [1, 3]  # the sentinel is not pushed
 
 
 class TestPushIdentity:

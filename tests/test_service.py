@@ -37,6 +37,7 @@ from ctxbroker.wire import (
     MAX_BODY_BYTES,
     PATHS,
     READ_TIMEOUT_S,
+    TRANSPORT_TIMEOUT_S,
     HttpTransport,
     RetryPolicy,
     WireClient,
@@ -506,6 +507,36 @@ class TestConnectionPool:
         # A stall of ~40 ms per push would take 2 s or more.
         assert time.monotonic() - started < 1.0
         assert server.connections == 1
+
+    @pytest.mark.skipif(getattr(socket, "TCP_QUICKACK", None) is None,
+                        reason="the ACK of a reused connection is delayed without TCP_QUICKACK")
+    def test_no_delayed_ack_stall_on_pipelined_pushes(self, receiver, transport):
+        server = receiver()
+        addresses = [f"{server.url}/c/{k}" for k in range(10)]
+        transport.push(addresses[0], make_envelope("notify", {}))
+        started = time.monotonic()
+        for i in range(20):
+            got = transport.push_many(
+                [(address, make_envelope("notify", {"i": i})) for address in addresses])
+            assert all(status.delivered and status.attempts == 1 for status in got)
+        # Each of the 10 answers of a run written in two sends: a stall of
+        # ~40 ms per answer, or per run, would take 0.8 s or more.
+        assert time.monotonic() - started < 0.5
+        assert len(server.posts) == 201
+        assert server.connections == 1
+
+    def test_a_run_over_the_cap_reaches_a_peer_that_answers_before_reading_on(
+            self, receiver, transport):
+        server = receiver()
+        server.answer = b" " * (200 << 10)  # written whole before the next request is read
+        pad = "x" * 4000
+        items = [(f"{server.url}/c/{k}", make_envelope("notify", {"i": k, "pad": pad}))
+                 for k in range(40)]  # ~160 KiB of requests
+        started = time.monotonic()
+        got = transport.push_many(items)
+        assert time.monotonic() - started < TRANSPORT_TIMEOUT_S / 2
+        assert all(status.delivered and status.attempts == 1 for status in got)
+        assert [json.loads(p)["body"]["i"] for p in server.posts] == list(range(40))
 
     def test_broker_answers_a_reused_connection_without_stall(self, running):
         handle, _ = running

@@ -1,6 +1,6 @@
 """HTTP/1.1 framing of wire's client connections against a raw-socket
-peer that answers with canned bytes, the bound on answer bodies, and one
-write per request and per answer."""
+peer that answers with canned bytes, the bound on answer bodies, one
+write per request and per answer, and pipelined runs of pushes."""
 
 from __future__ import annotations
 
@@ -14,7 +14,9 @@ import pytest
 
 from ctxbroker.errors import UpstreamUnavailable
 from ctxbroker.wire import (
+    _RUN_BYTES,
     MAX_BODY_BYTES,
+    DeliveryStatus,
     HttpTransport,
     JsonHandler,
     RetryPolicy,
@@ -132,6 +134,32 @@ def transport():
     transport.close()
 
 
+@pytest.fixture
+def writes(monkeypatch):
+    """Every write on a client socket opened during the test, in order."""
+    written = []
+
+    class Counted(socket.socket):
+        def sendall(self, data, *args):
+            written.append(bytes(data))
+            return super().sendall(data, *args)
+
+        def send(self, data, *args):
+            written.append(bytes(data))
+            return super().send(data, *args)
+
+    connect = socket.create_connection
+
+    def counted(*args, **kwargs):
+        sock = connect(*args, **kwargs)
+        wrapped = Counted(fileno=sock.detach())
+        wrapped.settimeout(kwargs.get("timeout"))
+        return wrapped
+
+    monkeypatch.setattr(socket, "create_connection", counted)
+    return written
+
+
 def push(transport, peer):
     return transport.push(peer.url + "/hook", make_envelope("notify", {}))
 
@@ -236,27 +264,7 @@ class _Answering(JsonHandler):
 
 
 class TestOneWrite:
-    def test_a_request_with_a_body_leaves_in_one_sendall(self, peer, transport, monkeypatch):
-        writes = []
-
-        class Counted(socket.socket):
-            def sendall(self, data, *args):
-                writes.append(bytes(data))
-                return super().sendall(data, *args)
-
-            def send(self, data, *args):
-                writes.append(bytes(data))
-                return super().send(data, *args)
-
-        connect = socket.create_connection
-
-        def counted(*args, **kwargs):
-            sock = connect(*args, **kwargs)
-            wrapped = Counted(fileno=sock.detach())
-            wrapped.settimeout(kwargs.get("timeout"))
-            return wrapped
-
-        monkeypatch.setattr(socket, "create_connection", counted)
+    def test_a_request_with_a_body_leaves_in_one_sendall(self, peer, transport, writes):
         server = peer((answer(), False), (answer(), False))
         for text in ("plain", "\u00fc\u2603" * 50):
             message = make_envelope("notify", {"text": text})
@@ -279,3 +287,119 @@ class TestOneWrite:
                     length = int(re.search(rb"\r\nContent-Length: (\d+)", head).group(1))
                     assert length == len(body)
                     assert json.loads(body) == {"topic": topic}
+
+
+def batch(peer, *names, pad=""):
+    """Pushes to ``peer``: one per name, at ``/c/<name>``, numbered in order."""
+    return [(f"{peer.url}/c/{name}", make_envelope("notify", {"i": i, "pad": pad}))
+            for i, name in enumerate(names)]
+
+
+def received(peer):
+    """The ``/c/<name>`` path and the number of each request the peer read, in order."""
+    return [(re.match(rb"POST /c/(\w+) ", r)[1].decode(), json.loads(r.partition(b"\r\n\r\n")[2])
+             ["body"]["i"]) for r in peer.requests]
+
+
+def statuses(*pairs):
+    return [DeliveryStatus(delivered, attempts) for delivered, attempts in pairs]
+
+
+OK = (answer(), False)
+
+
+class TestPipelinedPushes:
+    def test_a_run_to_distinct_addresses_leaves_in_one_sendall(self, peer, transport, writes):
+        server = peer(OK, (answer(status=b"404 Not Found"), False),
+                      (answer(b"", status=b"204 No Content"), False),
+                      (answer(status=b"410 Gone"), False), OK)
+        got = transport.push_many(batch(server, "a", "b", "c", "d", "e"))
+        assert got == statuses((True, 1), (False, 1), (True, 1), (False, 1), (True, 1))
+        assert len(writes) == 1 and writes[0] == b"".join(server.requests)
+        assert received(server) == [("a", 0), ("b", 1), ("c", 2), ("d", 3), ("e", 4)]
+        assert server.connections == 1
+
+    def test_a_repeated_address_starts_a_new_run(self, peer, transport, writes):
+        server = peer(*[OK] * 5)
+        got = transport.push_many(batch(server, "a", "b", "a", "c", "c"))
+        assert all(s == DeliveryStatus(True, 1) for s in got)
+        assert [w.count(b"POST ") for w in writes] == [2, 2, 1]
+        assert received(server) == [("a", 0), ("b", 1), ("a", 2), ("c", 3), ("c", 4)]
+        assert server.connections == 1
+
+    def test_a_run_over_the_byte_cap_leaves_in_several_writes(self, peer, transport, writes):
+        names = [f"n{i}" for i in range(40)]
+        server = peer(*[OK] * len(names))
+        got = transport.push_many(batch(server, *names, pad="x" * 4000))
+        assert all(s == DeliveryStatus(True, 1) for s in got)
+        assert len(writes) >= 3 and all(len(w) <= _RUN_BYTES for w in writes)
+        assert sum(w.count(b"POST ") for w in writes) == len(names)
+        assert [i for _, i in received(server)] == list(range(len(names)))
+        assert server.connections == 1
+
+    def test_a_5xx_answer_resends_only_its_message(self, peer, transport):
+        server = peer(OK, (answer(status=b"503 Busy"), False), OK, OK)
+        got = transport.push_many(batch(server, "a", "b", "c"))
+        assert got == statuses((True, 1), (True, 2), (True, 1))
+        assert received(server) == [("a", 0), ("b", 1), ("c", 2), ("b", 1)]
+
+    def test_a_4xx_answer_drops_its_message_without_resending(self, peer, transport):
+        server = peer(OK, (answer(status=b"400 Bad Request"), False), OK, OK)
+        got = transport.push_many(batch(server, "a", "b", "c"))
+        assert got == statuses((True, 1), (False, 1), (True, 1))
+        assert received(server) == [("a", 0), ("b", 1), ("c", 2)]
+
+    def test_a_cut_connection_resends_each_unanswered_message_from_attempt_2(
+            self, peer, transport):
+        server = peer(OK, (b"", True), OK, OK)  # reads b, then closes unanswered
+        got = transport.push_many(batch(server, "a", "b", "c"))
+        assert got == statuses((True, 1), (True, 2), (True, 2))
+        assert received(server) == [("a", 0), ("b", 1), ("b", 1), ("c", 2)]
+
+    def test_an_oversized_answer_counts_once_and_later_answers_are_lost(self, peer, transport):
+        server = peer(OK, (OVERSIZED["declared"], True), OK)
+        got = transport.push_many(batch(server, "a", "b", "c"))
+        assert got == statuses((True, 1), (True, 1), (True, 2))
+        assert received(server) == [("a", 0), ("b", 1), ("c", 2)]  # b is not resent
+
+    @pytest.mark.parametrize("closing", [
+        answer(b"{}", b"Connection: close"), answer(b"{}", version=b"HTTP/1.0")],
+        ids=["connection-close", "http-1.0"])
+    def test_messages_cut_off_by_a_closing_answer_are_sent_again_at_once(
+            self, peer, writes, closing):
+        slow = HttpTransport(retry=RetryPolicy(attempts=3, backoff_initial=1.0))
+        server = peer((closing, True), *[OK] * 5)
+        started = time.monotonic()
+        try:
+            got = slow.push_many(batch(server, "a", "b", "c", "d", "e", "f"))
+        finally:
+            slow.close()
+        assert time.monotonic() - started < 0.5  # no backoff delay of 1 s
+        assert all(s == DeliveryStatus(True, 1) for s in got)
+        assert [i for _, i in received(server)] == list(range(6))  # each read once
+        # The peer read one request of the first run; the others go again,
+        # one to a run on a new connection, which is then kept.
+        assert [w.count(b"POST ") for w in writes] == [6, 1, 1, 1, 1, 1]
+        assert server.connections == 2
+
+    def test_fifo_per_address_when_the_first_send_of_an_address_fails_once(
+            self, peer, transport, writes):
+        server = peer((answer(status=b"500 Oops"), False), OK, OK, OK, OK)
+        got = transport.push_many(batch(server, "a", "b", "a", "b"))
+        assert got == statuses((True, 2), (True, 1), (True, 1), (True, 1))
+        # a's first message is resent before a's second run goes out.
+        assert received(server) == [("a", 0), ("b", 1), ("a", 0), ("a", 2), ("b", 3)]
+        assert [w.count(b"POST ") for w in writes] == [2, 1, 2]
+
+    @pytest.mark.parametrize("address, body, attempts", [
+        ("cb://nowhere", {}, FAST_RETRY.attempts),  # fails like a refused connection
+        ("{url}/c/x", {"not-json": {1, 2}}, 0),  # never sent
+    ], ids=["non-http-address", "body-json-cannot-encode"])
+    def test_a_message_that_cannot_be_sent_fails_alone(
+            self, peer, transport, address, body, attempts):
+        server = peer(OK, OK)
+        items = batch(server, "a", "b")
+        items.insert(1, (address.format(url=server.url), make_envelope("notify", body)))
+        got = transport.push_many(items)
+        assert got == statuses((True, 1), (False, attempts), (True, 1))
+        assert received(server) == [("a", 0), ("b", 1)]
