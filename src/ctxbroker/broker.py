@@ -62,7 +62,6 @@ from .selection import (
     TIE_TOLERANCE,
     DecisionMatrix,
     build_decision_matrix,
-    qoc_feasible,
     qos_feasible,
     rank_topic,
     score,
@@ -227,14 +226,8 @@ class _Dispatcher:
 
     def drain(self, timeout: float = 10.0) -> bool:
         """Block until the queue is empty and no delivery is in flight."""
-        deadline = time.monotonic() + timeout
         with self._idle:
-            while self._pending > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._idle.wait(remaining)
-        return True
+            return self._idle.wait_for(lambda: not self._pending, timeout)
 
     def close(self) -> None:
         with self._ready:
@@ -354,17 +347,14 @@ class ContextBroker:
     def get_current_topic_value(self, subscription_id: str, topic: TopicId) -> ContextSample:
         """Pull a fresh sample from the subscription's selected provider."""
         with self._lock:
-            sub = self._get_subscription(subscription_id)
-            self._require_subscribed(sub, topic)
-            winners = self._selection[subscription_id].winners
-            selected = winners[sub.profile.topic_index(topic)][0]
+            sub, winners, j = self._selection_of(subscription_id, topic)
+            selected = winners[j][0]
             if selected is None:
                 raise errors.NoProvider(
                     f"no admissible service for topic {topic!r}",
                     topics=_unprovisioned(sub.profile, winners),
                 )
-            reg = self._registrations[self._service_registration[selected]]
-            address = reg.service_address
+            address = self._registrations[self._service_registration[selected]].service_address
         # Network round trip happens outside the registry lock.
         data = self._transport.pull(address, topic)
         try:
@@ -390,33 +380,21 @@ class ContextBroker:
         Prefers the subscription's own selected provider; a subscription
         that selected a provider which has not published yet falls back
         to the most recent sample from any service currently admissible
-        for its profile.
+        for the topic under its profile, ties to the smallest service id.
         """
         with self._lock:
-            sub = self._get_subscription(subscription_id)
-            self._require_subscribed(sub, topic)
-            selected = self._selection[subscription_id].winners[sub.profile.topic_index(topic)][0]
-            if selected is not None:
-                sample = self._cache.get((topic, selected))
-                if sample is not None:
-                    return sample
-            candidates = []
-            for reg in self._registrations.values():
-                offer = reg.offer
-                if not qos_feasible(offer, sub.profile):
-                    continue
-                if not qoc_feasible(offer, sub.profile, topic):
-                    continue
-                sample = self._cache.get((topic, offer.service_id))
-                if sample is not None:
-                    candidates.append(sample)
+            sub, winners, j = self._selection_of(subscription_id, topic)
+            sample = self._cache.get((topic, winners[j][0]))  # no key has a None service
+            if sample is not None:
+                return sample
+            profile = sub.profile
+            candidates = [
+                cached for offer in self._eligible(profile)
+                if (cached := self._cache.get((topic, offer.service_id))) is not None
+                and score(offer, profile, j) is not None]
             if not candidates:
                 raise errors.NoValueYet(f"no value published yet for topic {topic!r}")
-            newest = max(s.produced_at for s in candidates)
-            return min(
-                (s for s in candidates if s.produced_at == newest),
-                key=lambda s: s.service_id,
-            )
+            return min(candidates, key=lambda s: (-s.produced_at, s.service_id))
 
     def find_context_consumers(self, topic: TopicId) -> list[str]:
         """Live subscriptions whose profile includes the topic, in admission order."""
@@ -426,11 +404,7 @@ class ContextBroker:
     def find_context_services(self, topic: TopicId) -> list[str]:
         """Live registrations offering the topic, in admission order."""
         with self._lock:
-            return [
-                reg.offer.service_id
-                for reg in self._registrations.values()
-                if reg.offer.offers_topic(topic)
-            ]
+            return [offer.service_id for offer in self._live_offers() if offer.offers_topic(topic)]
 
     def notify_renegotiation(self, subscription_id: str, topics: list[TopicId]) -> None:
         """Push an advisory listing unprovisionable topics to the subscriber."""
@@ -525,15 +499,26 @@ class ContextBroker:
             raise errors.NotFound(f"unknown subscription {subscription_id!r}")
         return sub
 
-    @staticmethod
-    def _require_subscribed(sub: Subscription, topic: TopicId) -> None:
-        if topic not in sub.profile.topics:
+    def _selection_of(
+        self, subscription_id: str, topic: TopicId
+    ) -> tuple[Subscription, tuple[tuple[str | None, float], ...], int]:
+        """The subscription, its winners, and the index of ``topic`` in its
+        profile; NotFound or NotSubscribed when there is none."""
+        sub = self._get_subscription(subscription_id)
+        try:
+            j = sub.profile.topic_index(topic)
+        except ValueError:
             raise errors.NotSubscribed(
-                f"subscription {sub.subscription_id!r} does not include topic {topic!r}"
-            )
+                f"subscription {subscription_id!r} does not include topic {topic!r}"
+            ) from None
+        return sub, self._selection[subscription_id].winners, j
 
     def _live_offers(self) -> list[ServiceOffer]:
         return [reg.offer for reg in self._registrations.values()]
+
+    def _eligible(self, profile: RequirementProfile) -> list[ServiceOffer]:
+        """The live offers that meet ``profile``'s QoS floors, in admission order."""
+        return [offer for offer in self._live_offers() if qos_feasible(offer, profile)]
 
     def _apply(self, kind: str, entry: dict[str, Any], at: int) -> None:
         """Parse a restored base entry or a replayed record and pass it to
@@ -606,7 +591,7 @@ class ContextBroker:
         self._subscriptions[sub.subscription_id] = sub
         self._admitted[sub.subscription_id] = next(self._admissions)
         profile = sub.profile
-        eligible = [o for o in self._live_offers() if qos_feasible(o, profile)]
+        eligible = self._eligible(profile)
         winners = tuple(rank_topic(eligible, profile, j) for j in range(len(profile.topics)))
         self._selection[sub.subscription_id] = SelectionState(winners, 1)
         for topic, (winner, _) in zip(profile.topics, winners):
@@ -671,7 +656,7 @@ class ContextBroker:
                     winners[j] = (sid, s)
                 else:
                     if eligible is None:
-                        eligible = [o for o in self._live_offers() if qos_feasible(o, profile)]
+                        eligible = self._eligible(profile)
                     winners[j] = rank_topic(eligible, profile, j)
                 after = winners[j][0]
                 if after != winner:

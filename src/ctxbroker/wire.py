@@ -55,6 +55,9 @@ class RetryPolicy:
     backoff_multiplier: float = 2.0
 
     def __post_init__(self) -> None:
+        if any(isinstance(v, bool) for v in (self.attempts, self.backoff_initial,
+                                              self.backoff_multiplier)):
+            raise ValueError(f"retry fields must be numbers, not booleans: {self}")
         if not isinstance(self.attempts, int) or self.attempts < 1:
             raise ValueError(f"retry attempts must be an integer, at least 1: {self.attempts!r}")
         if not all(0 <= b < float("inf") for b in (self.backoff_initial, self.backoff_multiplier)):

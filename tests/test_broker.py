@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import logging
 import random
 import re
 import threading
@@ -68,15 +69,45 @@ class GatedBatchTransport(GatedTransport):
         return [self.push(address, message) for address, message in items]
 
 
+class RaisingTransport(GatedTransport):
+    """A GatedTransport whose push raises on the notify "a2" to cb://app-1."""
+
+    def push(self, callback_address, message):
+        if callback_address == "cb://app-1" and message["kind"] == "notify" \
+                and message["body"]["sample"]["payload"] == "a2":
+            raise RuntimeError("transport fault")
+        return super().push(callback_address, message)
+
+
+class RaisingBatchTransport(RecordingTransport):
+    """A transport with ``push_many``, which raises on its first call and
+    pushes each later batch in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = 0
+
+    def push_many(self, items):
+        self.calls += 1
+        if self.calls == 1:
+            raise RuntimeError("transport fault")
+        return [self.push(address, message) for address, message in items]
+
+
+def serve_three(transport, catalog, profile):
+    """A broker over ``transport`` whose one service cs-a serves three
+    subscriptions, app-0..app-2; the broker and the subscription ids."""
+    b = ContextBroker(catalog, transport=transport)
+    b.register_context_service(make_offer("cs-a", 0.85, 0.95, 0.99), "svc://a")
+    return b, [b.subscribe(f"app-{i}", profile, f"cb://app-{i}") for i in range(3)]
+
+
 @pytest.fixture(params=[GatedTransport, GatedBatchTransport], ids=["push", "push_many"])
 def gated(request, threshold_catalog, threshold_profile):
-    """A broker whose one service cs-a serves three subscriptions,
-    app-0..app-2, and whose worker holds at its first push; its transport
-    pushes one message at a time, or takes each batch whole."""
+    """``serve_three`` over a transport whose worker holds at its first
+    push; it pushes one message at a time, or takes each batch whole."""
     transport = request.param()
-    b = ContextBroker(threshold_catalog, transport=transport)
-    b.register_context_service(make_offer("cs-a", 0.85, 0.95, 0.99), "svc://a")
-    subs = [b.subscribe(f"app-{i}", threshold_profile, f"cb://app-{i}") for i in range(3)]
+    b, subs = serve_three(transport, threshold_catalog, threshold_profile)
     yield b, transport, subs
     transport.gate.set()
     b.close()
@@ -347,6 +378,38 @@ class TestPullLast:
         with pytest.raises(errors.NoValueYet):
             broker.get_last_topic_value(sub, "location")
 
+    def test_qos_infeasible_publisher_never_leaks_values(self, broker, threshold_profile):
+        # cs-flaky meets every QoC floor but fails the availability floor;
+        # the selected cs-best has not published, so the fallback runs.
+        broker.register_context_service(make_offer("cs-best", 0.95, 0.99, 0.99), "svc://a")
+        broker.register_context_service(make_offer("cs-flaky", 0.90, 0.97, 0.97), "svc://b")
+        broker.notify_context_change("cs-flaky", sample_for("cs-flaky", payload="leak"))
+        sub = broker.subscribe("app-1", threshold_profile, "cb://app-1")
+        with pytest.raises(errors.NoValueYet):
+            broker.get_last_topic_value(sub, "location")
+
+    def test_fallback_tie_on_produced_at_goes_to_the_smallest_service_id(
+        self, broker, threshold_profile
+    ):
+        broker.register_context_service(make_offer("cs-best", 0.95, 0.99, 0.99), "svc://a")
+        broker.register_context_service(make_offer("cs-b", 0.85, 0.95, 0.99), "svc://b")
+        broker.register_context_service(make_offer("cs-a", 0.86, 0.95, 0.99), "svc://c")
+        broker.notify_context_change("cs-b", sample_for("cs-b", at=900))
+        broker.notify_context_change("cs-a", sample_for("cs-a", at=900))
+        sub = broker.subscribe("app-1", threshold_profile, "cb://app-1")
+        assert broker.get_last_topic_value(sub, "location").service_id == "cs-a"
+
+    def test_fallback_prefers_the_newer_sample_of_another_provider(
+        self, broker, threshold_profile
+    ):
+        broker.register_context_service(make_offer("cs-best", 0.95, 0.99, 0.99), "svc://a")
+        broker.register_context_service(make_offer("cs-a", 0.86, 0.95, 0.99), "svc://b")
+        broker.register_context_service(make_offer("cs-b", 0.85, 0.95, 0.99), "svc://c")
+        broker.notify_context_change("cs-a", sample_for("cs-a", payload="older", at=900))
+        broker.notify_context_change("cs-b", sample_for("cs-b", payload="newer", at=950))
+        sub = broker.subscribe("app-1", threshold_profile, "cb://app-1")
+        assert broker.get_last_topic_value(sub, "location").payload == "newer"
+
 
 class TestFindOperations:
     def test_empty_broker(self, broker):
@@ -471,6 +534,43 @@ class TestDeliveryOrderAndCompleteness:
             for i, sub in enumerate(subs)}
         if isinstance(transport, GatedBatchTransport):
             assert transport.batches == [1, 3]  # the sentinel is not pushed
+
+    def test_a_push_that_raises_loses_only_its_message(self, threshold_catalog, threshold_profile):
+        transport = RaisingTransport()
+        broker, subs = serve_three(transport, threshold_catalog, threshold_profile)
+        try:
+            broker.notify_renegotiation(subs[0], ["primer"])  # holds the worker
+            assert transport.holding.wait(5)
+            for at, payload in enumerate(["a1", "a2", "a3"]):  # then queue in one batch
+                broker.notify_context_change("cs-a", sample_for("cs-a", payload=payload, at=at))
+            transport.gate.set()
+            assert broker.drain(5) is True
+            notifies = [("notify", "a1"), ("notify", "a2"), ("notify", "a3")]
+            assert kinds_per_subscription(transport, subs) == {
+                subs[0]: [("advisory", ["primer"])] + notifies,
+                subs[1]: [notifies[0], notifies[2]],
+                subs[2]: notifies}
+        finally:
+            transport.gate.set()
+            broker.close()
+
+    def test_a_push_many_that_raises_drops_only_its_batch(
+        self, threshold_catalog, threshold_profile, caplog
+    ):
+        caplog.set_level(logging.WARNING, logger="ctxbroker.broker")
+        transport = RaisingBatchTransport()
+        broker, subs = serve_three(transport, threshold_catalog, threshold_profile)
+        try:
+            broker.notify_context_change("cs-a", sample_for("cs-a", payload="a1", at=1))
+            assert broker.drain(5) is True
+            broker.notify_context_change("cs-a", sample_for("cs-a", payload="a2", at=2))
+            assert broker.drain(5) is True
+            assert transport.calls == 2
+        finally:
+            broker.close()
+        assert kinds_per_subscription(transport, subs) == {sub: [("notify", "a2")] for sub in subs}
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+            f"dropping notify for cb://app-{i} after 0 attempt(s)" for i in range(3)]
 
 
 class TestPushIdentity:

@@ -206,13 +206,14 @@ CATALOG = {"qoc_indicators": ["freshness"], "qos_indicators": ["availability"]}
     ("--catalog", {"qoc_indicators": ["freshness"]}),
     ("--config", {"catalog": CATALOG, "retry": {"attempt": 3}}),
     ("--config", {"catalog": CATALOG, "retry": {"attempts": 0}}),
+    ("--config", {"catalog": CATALOG, "retry": {"attempts": True}}),
     ("--config", {"catalog": CATALOG, "retry": {"backoff_initial": -0.1}}),
     ("--config", {"catalog": CATALOG, "retry": {"backoff_multiplier": -2.0}}),
     ("--config", {"catalog": CATALOG, "retry": {"backoff_multiplier": 1e200}}),
     ("--config", {"catalog": CATALOG, "retry": {"attempts": 13, "backoff_multiplier": 1.0}}),
 ], ids=["catalog without qos_indicators", "unknown retry field", "no retry attempts",
-        "negative backoff", "negative backoff multiplier", "backoff that overflows",
-        "retries past a minute per message"])
+        "boolean retry attempts", "negative backoff", "negative backoff multiplier",
+        "backoff that overflows", "retries past a minute per message"])
 def test_malformed_serve_config_is_an_error(tmp_path, capsys, monkeypatch, flag, document):
     monkeypatch.delenv("CTXBROKER_LISTEN", raising=False)
     monkeypatch.delenv("CTXBROKER_PERSIST", raising=False)

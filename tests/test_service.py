@@ -388,6 +388,14 @@ class TestPushNotification:
     def test_retry_policy_accepts_up_to_a_minute_per_message(self, kwargs):
         RetryPolicy(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"attempts": True},
+        {"backoff_initial": True, "backoff_multiplier": False},
+    ])
+    def test_retry_policy_refuses_booleans(self, kwargs):
+        with pytest.raises(ValueError, match="not booleans"):
+            RetryPolicy(**kwargs)
+
 
 class _CountingServer(ThreadingHTTPServer):
     """A loopback receiver that counts the connections it accepts and keeps
