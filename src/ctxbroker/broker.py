@@ -208,9 +208,11 @@ class _Dispatcher:
                 return
 
     def _push_many(self, push_many: Callable, batch: deque) -> int:
-        """Push the batch up to the close sentinel in one transport call;
-        the number of messages pushed."""
+        """Push the batch up to the close sentinel in one transport call,
+        none when the sentinel comes first; the number of messages pushed."""
         items = list(itertools.takewhile(lambda item: item is not self._STOP, batch))
+        if not items:
+            return 0
         try:
             statuses = push_many(items)
         except Exception:
@@ -354,7 +356,8 @@ class ContextBroker:
                     f"no admissible service for topic {topic!r}",
                     topics=_unprovisioned(sub.profile, winners),
                 )
-            address = self._registrations[self._service_registration[selected]].service_address
+            registration_id = self._service_registration[selected]
+            address = self._registrations[registration_id].service_address
         # Network round trip happens outside the registry lock.
         data = self._transport.pull(address, topic)
         try:
@@ -370,7 +373,8 @@ class ContextBroker:
         with self._lock:
             key = (topic, selected)
             cached = self._cache.get(key)
-            if cached is None or sample.produced_at >= cached.produced_at:
+            live = self._service_registration.get(selected) == registration_id
+            if live and (cached is None or sample.produced_at >= cached.produced_at):
                 self._cache[key] = sample
         return sample
 
@@ -624,6 +628,8 @@ class ContextBroker:
         self._seq += 1
         del self._registrations[reg.registration_id]
         del self._service_registration[reg.offer.service_id]
+        for topic in reg.offer.offered_topics:  # a sample lives as long as its registration
+            self._cache.pop((topic, reg.offer.service_id), None)
         self._reselect(reg.offer, push)
 
     def _reselect(self, offer: ServiceOffer, push: bool) -> None:

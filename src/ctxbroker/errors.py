@@ -69,6 +69,12 @@ class UpstreamUnavailable(BrokerError):
     code = "UPSTREAM_UNAVAILABLE"
 
 
+class Unavailable(BrokerError):
+    """The service takes no more requests now: its server is at its connection cap."""
+
+    code = "UNAVAILABLE"
+
+
 class Internal(BrokerError):
     """An unexpected failure inside the service, such as a failed snapshot write."""
 

@@ -333,52 +333,48 @@ ROUTES: dict[str, Callable[[ContextBroker, dict[str, Any]], dict[str, Any]]] = {
     "drain": _drain,
 }
 
-class _Handler(wire.JsonHandler):
-    server: "ServiceHandle"
-
-    def _dispatch(self) -> None:
-        parsed = urllib.parse.urlparse(self.path)
-        envelope: Any = None
-        try:
-            if self.command == "POST":
-                envelope = wire.decode(wire.read_body(self))
-            kind, fields = wire.match(wire.PATHS, self.command, parsed.path)
-            if self.command != "POST":
-                envelope = wire.make_envelope(kind, fields, self._request_id(parsed))
-            elif isinstance(envelope, dict) and envelope.get("kind") != kind:
-                raise errors.BadRequest(
-                    f"endpoint expects kind {kind!r}, got {envelope.get('kind')!r}")
-            response = self.server.service.handle_request(envelope)
-        except errors.BrokerError as exc:
-            request_id = envelope.get("request_id") if isinstance(envelope, dict) else None
-            response = wire.error_envelope(str(request_id or self._request_id(parsed)), exc)
-        status = 200
-        if response["kind"] == "error":
-            status = wire.http_status_for(response["body"]["code"])
-        wire.send_json(self, status, response)
-
-    do_POST = do_GET = do_DELETE = _dispatch
-
-    def _request_id(self, parsed: urllib.parse.ParseResult) -> str:
-        header = self.headers.get("X-Request-Id")
-        if header:
-            return header
-        query = urllib.parse.parse_qs(parsed.query).get("request_id")
-        if query:
-            return query[0]
-        return uuid.uuid4().hex
-
 
 class ServiceHandle(wire.Server):
     """A running broker service; stop() shuts down the listener and broker."""
 
     def __init__(self, service: BrokerService, host: str, port: int) -> None:
         self.service = service  # set first: requests are answered from the next line on
-        super().__init__(host, port, _Handler)
+        super().__init__(host, port, self._route)
+
+    def _route(self, method: str, target: str, headers: dict[bytes, bytes],
+               body: bytes) -> tuple[int, dict[str, Any]]:
+        """Answer one request through ``wire.PATHS``: a POST carries its
+        envelope, a GET or DELETE has one built from its path."""
+        path, _, query = target.partition("?")
+        envelope: Any = wire.decode(body) if method == "POST" else None
+        try:
+            kind, fields = wire.match(wire.PATHS, method, path)
+            if method != "POST":
+                envelope = wire.make_envelope(kind, fields, _request_id(headers, query))
+            elif isinstance(envelope, dict) and envelope.get("kind") != kind:
+                raise errors.BadRequest(
+                    f"endpoint expects kind {kind!r}, got {envelope.get('kind')!r}")
+            response = self.service.handle_request(envelope)
+        except errors.BrokerError as exc:
+            request_id = envelope.get("request_id") if isinstance(envelope, dict) else None
+            response = wire.error_envelope(str(request_id or _request_id(headers, query)), exc)
+        if response["kind"] == "error":
+            return wire.http_status_for(response["body"]["code"]), response
+        return 200, response
 
     def stop(self) -> None:
         super().stop()
         self.service.close()
+
+
+def _request_id(headers: dict[bytes, bytes], query: str) -> str:
+    """The request's id: its ``X-Request-Id`` header, else its
+    ``request_id`` query parameter, else a new one."""
+    header = headers.get(b"x-request-id")
+    if header:
+        return header.decode("latin-1")
+    found = urllib.parse.parse_qs(query).get("request_id")
+    return found[0] if found else uuid.uuid4().hex
 
 
 def serve(config: ServiceConfig, transport: Transport | None = None) -> ServiceHandle:

@@ -351,33 +351,6 @@ class _SimService:
             return sample
 
 
-class _SimEndpointsHandler(wire.JsonHandler):
-    """Serves the hub's addresses over HTTP: POST a push to a consumer's,
-    GET ``<service address>/topics/<topic>`` to pull from a service."""
-
-    hub: "_SimEndpoints"
-
-    def do_POST(self) -> None:
-        try:
-            message = wire.decode(wire.read_body(self))
-        except errors.BadRequest:
-            message = None
-        if not isinstance(message, dict):
-            wire.send_json(self, 400, {"ok": False})
-            return
-        delivered = self.hub.push(self.hub.base_url + self.path, message).delivered
-        wire.send_json(self, 200 if delivered else 404, {"ok": delivered})
-
-    def do_GET(self) -> None:
-        prefix, _, topic = self.path.rpartition("/topics/")
-        try:
-            sample = self.hub.pull(self.hub.base_url + prefix, urllib.parse.unquote(topic))
-        except errors.UpstreamUnavailable:
-            wire.send_json(self, 404, {})
-            return
-        wire.send_json(self, 200, sample)
-
-
 class _SimEndpoints:
     """The simulated consumers and services of a run, by id.
 
@@ -419,9 +392,26 @@ class _SimEndpoints:
         return sample
 
     def listen(self) -> None:
-        handler = type("BoundSimHandler", (_SimEndpointsHandler,), {"hub": self})
-        self.server = wire.Server("127.0.0.1", 0, handler)
+        self.server = wire.Server("127.0.0.1", 0, self._route)
         self.base_url = self.server.base_url
+
+    def _route(self, method: str, target: str, headers: dict[bytes, bytes],
+               body: bytes) -> tuple[int, Any]:
+        """Serve the addresses over HTTP: POST a push to a consumer's, GET
+        ``<service address>/topics/<topic>`` to pull from a service."""
+        if method == "POST":
+            message = wire.decode(body)
+            if not isinstance(message, dict):
+                return 400, {"ok": False}
+            delivered = self.push(self.base_url + target, message).delivered
+            return 200 if delivered else 404, {"ok": delivered}
+        if method != "GET":
+            return 405, {}
+        prefix, _, topic = target.rpartition("/topics/")
+        try:
+            return 200, self.pull(self.base_url + prefix, urllib.parse.unquote(topic))
+        except errors.UpstreamUnavailable:
+            return 404, {}
 
     def stop(self) -> None:
         if self.server is not None:

@@ -5,8 +5,11 @@ and receives exactly one ``ack`` or ``error`` envelope carrying the same
 ``request_id``. Bodies use the canonical serialized forms from
 :mod:`ctxbroker.model`. Notifications and advisories are pushed to
 consumer-supplied callback URLs as the same envelope shape.
-Path templates and their quoting, the HTTP handler base and the server
-live here, for the broker service and the simulated endpoints alike.
+Path templates and their quoting and the HTTP server live here, for the
+broker service and the simulated endpoints alike: a route is a function
+from a request's method, target, header fields and body to its status
+and JSON payload. One reader, _Conn, frames HTTP/1.1 messages (RFC 9112)
+in both directions: the server's requests and the client's answers.
 Pushes, pulls and WireClient requests reuse kept-alive HTTP/1.1
 connections with TCP_NODELAY at both ends and replace an idle connection
 the peer dropped. HttpTransport.push_many pipelines consecutive pushes to
@@ -16,9 +19,8 @@ order. A push is sent again within its attempt only when the peer cannot
 have read it: the send on a reused connection failed, or an earlier
 answer closed the connection. Every other failure spends an attempt, and
 later attempts go alone, so no message is sent more often than its retry
-policy allows. A request, and send_json's answer, leave in one write.
-The client frames answers itself (RFC 9112) and, like a handler, reads
-no body longer than ``MAX_BODY_BYTES``.
+policy allows. A request, and an answer, leave in one write. Neither
+side reads a body longer than ``MAX_BODY_BYTES``.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ import time
 import urllib.parse
 import uuid
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
+from http import HTTPStatus
+from typing import Any, Callable
 
 from . import errors
 
@@ -84,11 +86,11 @@ class DeliveryStatus:
     attempts: int
 
 
-# Largest body an HTTP handler reads from a request, and a client from an
+# Largest body a Server reads from a request, and a client from an
 # answer; a longer one is read no further than it takes to tell.
 MAX_BODY_BYTES = 1 << 20
 
-# Seconds an HTTP handler waits on a silent client socket, mid-body or
+# Seconds a Server waits on a silent client socket, mid-request or
 # between keep-alive requests, before it drops the connection.
 READ_TIMEOUT_S = 10.0
 
@@ -98,7 +100,7 @@ CLIENT_TIMEOUT_S = 10.0
 
 # Idle connections a pool keeps open to one peer; more are closed on
 # return. The broker's exchanges with one peer are its dispatch thread's
-# push plus one pull per handler answering pull-current: in a traced
+# push plus one pull per connection thread answering pull-current: in a traced
 # perfbench wire run (one peer, two clients) at most 2 were in flight.
 _IDLE_PER_PEER = 4
 
@@ -176,6 +178,7 @@ def http_status_for(code: str) -> int:
         "NO_PROVIDER": 503,
         "NO_VALUE_YET": 404,
         "UPSTREAM_UNAVAILABLE": 502,
+        "UNAVAILABLE": 503,
     }.get(code, 500)
 
 
@@ -187,102 +190,157 @@ def decode(raw: bytes) -> Any:
         return None
 
 
-def read_body(handler: BaseHTTPRequestHandler) -> bytes:
-    """Read the request body of the declared ``Content-Length``.
+# Open connections one Server answers at once, each on a thread of its
+# own. The accept thread answers one more with 503 and closes it.
+MAX_CONNECTIONS = 64
 
-    A length that is not an integer, is negative or exceeds
-    ``MAX_BODY_BYTES`` raises BadRequest without reading the body, and
-    marks the connection to close: its unread bytes cannot be parsed as
-    the next request.
-    """
-    declared = handler.headers.get("Content-Length") or "0"
-    try:
-        length = int(declared)
-    except ValueError:
-        length = -1
-    if not 0 <= length <= MAX_BODY_BYTES:
-        handler.close_connection = True
-        raise errors.BadRequest(
-            f"Content-Length must be an integer from 0 to {MAX_BODY_BYTES}, got {declared!r}")
-    return handler.rfile.read(length) if length else b""
+# How a Server answers a request: its method, target, header fields (by
+# lower-case name) and body in; its status and JSON payload out.
+Route = Callable[[str, str, dict[bytes, bytes], bytes], tuple[int, Any]]
 
 
-def send_json(handler: BaseHTTPRequestHandler, status: int, payload: Any) -> None:
-    """Answer the request with ``payload`` as a JSON document, the status
-    line, headers and body in one write."""
-    data = json.dumps(payload).encode("utf-8")
-    handler.log_request(status)
-    close = "Connection: close\r\n" if handler.close_connection else ""
-    head = (f"{handler.protocol_version} {status} {handler.responses[status][0]}\r\n"
-            f"Server: {handler.version_string()}\r\nDate: {handler.date_time_string()}\r\n"
-            f"Content-Type: application/json\r\nContent-Length: {len(data)}\r\n{close}\r\n")
-    handler.wfile.write(head.encode("latin-1") + data)
+class Server:
+    """An HTTP/1.1 server answering through ``route`` on a daemon thread
+    from construction until stop(); one more daemon thread per open
+    connection, at most ``MAX_CONNECTIONS``.
 
-
-class JsonHandler(BaseHTTPRequestHandler):
-    """Base of every HTTP handler here: keep-alive HTTP/1.1, a read
-    timeout on silent sockets, and access lines at debug level.
-
-    TCP_NODELAY is on: send_json answers in one send, but send_error's
-    headers and body leave in two, and with Nagle's algorithm the body
-    would wait for the client's delayed ACK, ~40 ms on a reused connection.
+    Each connection reads its requests with _Conn and sends each answer
+    in one write, with TCP_NODELAY on. It carries the next request unless
+    the last was HTTP/1.0 or said ``Connection: close``. A malformed
+    request is answered 400, one with ``Transfer-Encoding`` 501, and the
+    connection closes: its unread bytes cannot be framed as the next
+    request. A connection silent for ``timeout`` s, mid-request or between
+    requests, closes without an answer.
     """
 
-    protocol_version = "HTTP/1.1"
-    timeout = READ_TIMEOUT_S
-    disable_nagle_algorithm = True
-
-    def log_message(self, format: str, *args: Any) -> None:
-        log.debug("%s - %s", self.address_string(), format % args)
-
-
-class Server(ThreadingHTTPServer):
-    """An HTTP server answering on a daemon thread from construction
-    until stop(); one more daemon thread per connection."""
-
-    daemon_threads = True
-
-    def __init__(self, host: str, port: int, handler: type[BaseHTTPRequestHandler]) -> None:
+    def __init__(self, host: str, port: int, route: Route) -> None:
+        self.route = route
+        self.timeout = READ_TIMEOUT_S
         self._open: set[socket.socket] = set()
         self._closed = threading.Condition()
-        super().__init__((host, port), handler)
-        self.host, self.port = str(self.server_address[0]), int(self.server_address[1])
-        self._thread = threading.Thread(
-            target=self.serve_forever, name="ctxbroker-http", daemon=True)
+        self._stopped = False
+        self._listener = socket.create_server((host, port))
+        self.host, self.port = self._listener.getsockname()[:2]
+        self._thread = threading.Thread(target=self._accept, name="ctxbroker-http", daemon=True)
         self._thread.start()
 
     @property
     def base_url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    def process_request(self, request: Any, client_address: Any) -> None:
-        with self._closed:
-            self._open.add(request)
-        super().process_request(request, client_address)
+    def _accept(self) -> None:
+        while True:
+            try:
+                sock, address = self._listener.accept()
+            except OSError:
+                if self._stopped:
+                    return
+                time.sleep(0.01)  # out of descriptors, say: the backlog waits
+                continue
+            with self._closed:
+                admitted = len(self._open) < MAX_CONNECTIONS
+                if admitted:
+                    self._open.add(sock)
+            if admitted:
+                threading.Thread(target=self._serve, args=(sock, address[0]), daemon=True).start()
+                continue
+            busy = errors.Unavailable(f"{MAX_CONNECTIONS} connections are open already")
+            try:
+                sock.sendall(_answer(503, error_envelope(uuid.uuid4().hex, busy), False))
+            except OSError:
+                pass
+            _end_writes(sock)
+            sock.close()
 
-    def shutdown_request(self, request: Any) -> None:
-        super().shutdown_request(request)
-        with self._closed:
-            self._open.discard(request)
-            self._closed.notify_all()
+    def _serve(self, sock: socket.socket, client: str) -> None:
+        """Answer the requests of one connection until it closes."""
+        conn = _Conn(sock)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.settimeout(self.timeout)
+            keep = True
+            while keep:
+                try:
+                    request = conn.request()
+                except (TimeoutError, ConnectionError):
+                    return
+                except OSError as exc:  # malformed or cut short
+                    method = target = "-"
+                    status, keep = getattr(exc, "status", 400), False
+                    payload = error_envelope(uuid.uuid4().hex, errors.BadRequest(str(exc)))
+                else:
+                    if request is None:  # the peer ended the connection
+                        return
+                    method, target, fields, body, keep = request
+                    status, payload = self.route(method, target, fields, body)
+                if log.isEnabledFor(logging.DEBUG):
+                    log.debug('%s - "%s %s" %d', client, method, target, status)
+                sock.sendall(_answer(status, payload, keep))
+        except OSError:
+            pass  # the peer left before its answer
+        finally:
+            _end_writes(sock)
+            conn.close()
+            with self._closed:
+                self._open.discard(sock)
+                self._closed.notify_all()
 
     def stop(self) -> None:
         """Stop accepting, then end every open connection: a request being
         answered is finished, an idle kept-alive connection reads its end at
-        once. Returns when no handler runs (or after 5 s)."""
-        self.shutdown()
+        once. Returns when no connection is open (or after 5 s)."""
+        self._stopped = True
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)  # wakes the accept thread (Linux)
+        except OSError:
+            pass
+        self._thread.join(timeout=5.0)
+        self._listener.close()
         with self._closed:
-            for request in self._open:
+            for sock in self._open:
                 try:
-                    request.shutdown(socket.SHUT_RD)
+                    sock.shutdown(socket.SHUT_RD)
                 except OSError:
                     pass
             self._closed.wait_for(lambda: not self._open, timeout=5.0)
-        self.server_close()
-        self._thread.join(timeout=5.0)
+
+    def __enter__(self) -> Server:
+        return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.stop()
+
+
+def _end_writes(sock: socket.socket) -> None:
+    """End what ``sock`` sends, before closing it. Closing a socket with
+    unread input, such as a refused request's body, resets the connection:
+    the peer then reads the reset where the end of the stream should
+    follow the answer. Sent first, the end of the stream comes first."""
+    try:
+        sock.shutdown(socket.SHUT_WR)
+    except OSError:
+        pass
+
+
+def _answer(status: int, payload: Any, keep: bool) -> bytes:
+    """An answer's bytes: status line, headers and ``payload`` as its JSON
+    body, to leave in one write; ``keep`` false says the connection closes."""
+    data = json.dumps(payload).encode()
+    close = "" if keep else "Connection: close\r\n"
+    head = (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+            f"Date: {_http_date(int(time.time()))}\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {len(data)}\r\n{close}\r\n")
+    return head.encode("ascii") + data
+
+
+@functools.lru_cache(maxsize=1)
+def _http_date(second: int) -> str:
+    """``second`` as an HTTP date (RFC 9110 5.6.7), made once per second."""
+    t = time.gmtime(second)
+    return "%s, %02d %s %d %02d:%02d:%02d GMT" % (
+        "MonTueWedThuFriSatSun"[3 * t.tm_wday:][:3], t.tm_mday,
+        "JanFebMarAprMayJunJulAugSepOctNovDec"[3 * t.tm_mon - 3:][:3], t.tm_year,
+        t.tm_hour, t.tm_min, t.tm_sec)
 
 
 class _BodyTooLong(OSError):
@@ -293,24 +351,46 @@ class _BodyTooLong(OSError):
         self.status = status
 
 
-class _Conn:
-    """One kept-alive HTTP/1.1 client connection: a socket with
-    TCP_NODELAY, and one buffered reader for all of its answers."""
+class _Refused(OSError):
+    """A request the server answers with ``status`` and reads no further."""
 
-    def __init__(self, peer: tuple[str, int], timeout: float) -> None:
-        self.sock = socket.create_connection(peer, timeout=timeout)
-        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self.reader = self.sock.makefile("rb")
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+# A token (RFC 9110 5.6.2): a method, or a field name.
+_TOKEN = rb"[!#$%&'*+.^_`|~0-9A-Za-z-]+"
+_REQUEST_LINE = re.compile(rb"(%s) ([!-~]+) HTTP/1\.([01])" % _TOKEN)
+_FIELD_LINE = re.compile(rb"(%s):(.*)" % _TOKEN)
+
+
+class _Conn:
+    """One kept-alive HTTP/1.1 connection: a socket with TCP_NODELAY, and
+    one buffered reader for every message it receives, answers on a
+    client's connection and requests on a server's. Both directions frame
+    messages the same way (RFC 9112) and raise OSError for a malformed or
+    cut one; no line is read past 64 KiB, no head past 100 lines, no
+    body past ``MAX_BODY_BYTES``."""
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+
+    @classmethod
+    def connect(cls, peer: tuple[str, int], timeout: float) -> _Conn:
+        sock = socket.create_connection(peer, timeout=timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return cls(sock)
 
     def close(self) -> None:
         self.reader.close()
         self.sock.close()
 
     def answer(self) -> tuple[int, bytes, bool]:
-        """Read the next answer, after any 1xx interim ones (RFC 9112): its
-        status, its body, and whether the connection may carry another
-        request. A malformed or cut answer raises OSError; one whose body
-        exceeds ``MAX_BODY_BYTES``, _BodyTooLong."""
+        """Read the next answer, after any 1xx interim ones: its status,
+        its body, and whether the connection may carry another request. One
+        whose body exceeds ``MAX_BODY_BYTES`` raises _BodyTooLong."""
         status = 100
         while 100 <= status < 200:
             line = self._line()
@@ -325,27 +405,60 @@ class _Conn:
         if coding is not None and coding.rsplit(b",", 1)[-1].strip().lower() == b"chunked":
             return status, self._chunked(status), keep
         if coding is None and length is not None:
-            if not length.isdigit():
+            size = _length(length)
+            if size < 0:
                 raise OSError(f"malformed Content-Length {length[:40]!r}")
-            if int(length) > MAX_BODY_BYTES:
+            if size > MAX_BODY_BYTES:
                 raise _BodyTooLong(status)
-            return status, self._read(int(length)), keep
+            return status, self._read(size), keep
         body = self.reader.read(MAX_BODY_BYTES + 1)  # delimited by the end of the stream
         if len(body) > MAX_BODY_BYTES:
             raise _BodyTooLong(status)
         return status, body, False
 
+    def request(self) -> tuple[str, str, dict[bytes, bytes], bytes, bool] | None:
+        """Read the next request: its method, target, header fields, body,
+        and whether the connection may carry another; None when the peer
+        ended the connection before it. A request that frames its body with
+        ``Transfer-Encoding`` raises _Refused(501): no client here sends
+        one, and a body left unread would be framed as the next request.
+        A ``Content-Length`` over ``MAX_BODY_BYTES`` is malformed too."""
+        line = self.reader.readline(65536)
+        if not line:
+            return None
+        request_line = _REQUEST_LINE.fullmatch(line.rstrip(b"\r\n"))
+        if not request_line or not line.endswith(b"\n"):
+            raise OSError(f"malformed request line {line[:80]!r}")
+        fields = self._fields()
+        if b"transfer-encoding" in fields:
+            raise _Refused(501, "Transfer-Encoding is not supported: send a Content-Length")
+        length = fields.get(b"content-length", b"0")
+        size = _length(length)
+        if not 0 <= size <= MAX_BODY_BYTES:
+            raise OSError(f"Content-Length must be an integer from 0 to {MAX_BODY_BYTES}, "
+                          f"got {length.decode('latin-1')!r}")
+        http_1_1 = request_line[3] == b"1"
+        if http_1_1 and size and fields.get(b"expect", b"").lower() == b"100-continue":
+            self.sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        keep = http_1_1 and b"close" not in fields.get(b"connection", b"").lower()
+        return (request_line[1].decode("ascii"), request_line[2].decode("ascii"), fields,
+                self._read(size), keep)
+
     def _fields(self) -> dict[bytes, bytes]:
-        """Header (or trailer) fields up to the empty line, by lower-case name."""
+        """Header (or trailer) fields up to the empty line, by lower-case
+        name; a repeated field's values joined by commas. A line that is
+        not ``name:value``, such as a folded one, is malformed."""
         fields: dict[bytes, bytes] = {}
-        for _ in range(101):
+        for _ in range(100):  # like the stdlib, the empty line counts
             line = self._line()
             if not line:
                 return fields
-            name, _, value = line.partition(b":")
-            name, value = name.lower(), value.strip()
+            field = _FIELD_LINE.fullmatch(line)
+            if not field:
+                raise OSError(f"malformed field line {line[:80]!r}")
+            name, value = field[1].lower(), field[2].strip(b" \t")
             fields[name] = fields[name] + b"," + value if name in fields else value
-        raise OSError("answer has more than 100 header lines")
+        raise OSError("more than 100 header lines")
 
     def _chunked(self, status: int) -> bytes:
         """A chunked body; its trailer fields are dropped."""
@@ -365,17 +478,25 @@ class _Conn:
 
     def _line(self) -> bytes:
         """The next line, without its CRLF (or bare LF)."""
-        line = self.reader.readline(65537)
+        line = self.reader.readline(65536)
         if not line.endswith(b"\n"):
-            raise OSError(f"answer cut short, or a line over 64 KiB: {line[:80]!r}")
+            raise OSError(f"message cut short, or a line over 64 KiB: {line[:80]!r}")
         return line.rstrip(b"\r\n")
 
     def _read(self, size: int) -> bytes:
         """The next ``size`` bytes of a body."""
         data = self.reader.read(size)
         if len(data) < size:
-            raise OSError(f"answer body cut short at {len(data)} of {size} bytes")
+            raise OSError(f"body cut short at {len(data)} of {size} bytes")
         return data
+
+
+def _length(value: bytes) -> int:
+    """A Content-Length value as a number: -1 when it is not 1*DIGIT, and
+    at most ``MAX_BODY_BYTES + 1``, so no long run of digits is converted."""
+    if not value.isdigit():
+        return -1
+    return int(value) if len(value) <= 16 else MAX_BODY_BYTES + 1
 
 
 # A request as a pool sends it: its peer ``(host, port)`` and its bytes.
@@ -465,7 +586,7 @@ class _Pool:
                 if not reused:
                     raise
                 conn.close()
-                conn = _Conn(peer, self.timeout)
+                conn = _Conn.connect(peer, self.timeout)
                 conn.sock.sendall(data)
             if _QUICKACK is not None:
                 # A peer that writes headers and body in two sends, with
@@ -500,7 +621,7 @@ class _Pool:
                 if _alive(conn):
                     return conn, True
                 conn.close()
-        return _Conn(peer, self.timeout), False
+        return _Conn.connect(peer, self.timeout), False
 
     def _put(self, peer: tuple[str, int], conn: _Conn) -> None:
         """Keep ``conn`` idle for ``peer``, unless ``_IDLE_PER_PEER`` wait
@@ -657,7 +778,7 @@ def _run_end(items: list[tuple[str, dict[str, Any]]], requests: list[_Request | 
 
     Each request is built into ``requests`` when first looked at, a run
     at a time: the dispatch thread, which holds the interpreter while it
-    encodes, lets the handler threads in at each run's send.
+    encodes, lets the connection threads in at each run's send.
     """
     end, seen, size = start, set(), 0
     while end < len(items):

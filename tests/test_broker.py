@@ -410,6 +410,45 @@ class TestPullLast:
         sub = broker.subscribe("app-1", threshold_profile, "cb://app-1")
         assert broker.get_last_topic_value(sub, "location").payload == "newer"
 
+    def test_a_sample_lives_as_long_as_its_registration(self, broker, threshold_profile):
+        offer = make_offer("cs-a", 0.9, 0.95, 0.99)
+        reg = broker.register_context_service(offer, "svc://a")
+        sub = broker.subscribe("app-1", threshold_profile, "cb://app-1")
+        broker.notify_context_change("cs-a", sample_for("cs-a", payload="before", at=2_000))
+        broker.deregister_context_service(reg)
+        broker.register_context_service(offer, "svc://a")  # the same id, a restarted clock
+        with pytest.raises(errors.NoValueYet):
+            broker.get_last_topic_value(sub, "location")
+        broker.notify_context_change("cs-a", sample_for("cs-a", payload="after", at=1_000))
+        assert broker.get_last_topic_value(sub, "location").payload == "after"
+
+    def test_registration_churn_leaves_one_entry_per_live_service_and_topic(
+        self, broker, threshold_profile
+    ):
+        broker.register_context_service(make_offer("cs-kept", 0.9, 0.95, 0.99), "svc://k")
+        broker.notify_context_change("cs-kept", sample_for("cs-kept"))
+        for i in range(1000):
+            reg = broker.register_context_service(make_offer(f"cs-{i}", 0.9, 0.95, 0.99), "svc://x")
+            broker.notify_context_change(f"cs-{i}", sample_for(f"cs-{i}"))
+            broker.deregister_context_service(reg)
+        assert list(broker._cache) == [("location", "cs-kept")]
+
+    def test_a_pull_through_answered_after_deregistration_is_not_cached(
+        self, broker, threshold_profile, transport
+    ):
+        reg = broker.register_context_service(make_offer("cs-a", 0.9, 0.95, 0.99), "svc://a")
+        sub = broker.subscribe("app-1", threshold_profile, "cb://app-1")
+        transport.values["svc://a"] = {"location": sample_for("cs-a").to_dict()}
+        pull = transport.pull
+
+        def pull_while_deregistering(address, topic):
+            broker.deregister_context_service(reg)
+            return pull(address, topic)
+
+        transport.pull = pull_while_deregistering
+        assert broker.get_current_topic_value(sub, "location").service_id == "cs-a"
+        assert broker._cache == {}
+
 
 class TestFindOperations:
     def test_empty_broker(self, broker):
@@ -565,9 +604,9 @@ class TestDeliveryOrderAndCompleteness:
             assert broker.drain(5) is True
             broker.notify_context_change("cs-a", sample_for("cs-a", payload="a2", at=2))
             assert broker.drain(5) is True
-            assert transport.calls == 2
         finally:
             broker.close()
+        assert transport.calls == 2  # close() pushes no empty batch
         assert kinds_per_subscription(transport, subs) == {sub: [("notify", "a2")] for sub in subs}
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
             f"dropping notify for cb://app-{i} after 0 attempt(s)" for i in range(3)]

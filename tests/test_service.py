@@ -7,6 +7,7 @@ import http.client
 import json
 import os
 import random
+import re
 import socket
 import string
 import sys
@@ -27,12 +28,11 @@ from ctxbroker.service import (
     Journal,
     ServiceConfig,
     SnapshotError,
-    _Handler,
     load_snapshot,
     save_snapshot,
     serve,
 )
-from ctxbroker.sim import _SimEndpoints, _SimEndpointsHandler
+from ctxbroker.sim import _SimEndpoints
 from ctxbroker.wire import (
     MAX_BODY_BYTES,
     PATHS,
@@ -488,21 +488,21 @@ class TestConnectionPool:
         assert [json.loads(p)["body"]["i"] for p in server.posts] == list(range(20))
         assert server.connections == 1
 
-    def test_wire_client_reuses_one_connection(self, running):
+    def test_wire_client_reuses_one_connection(self, running, monkeypatch):
         handle, _ = running
-        accepted = []
-        process_request = handle.process_request
+        opened = []
+        connect = socket.create_connection
 
-        def counted(request, client_address):
-            accepted.append(client_address)
-            process_request(request, client_address)
+        def counted(address, *args, **kwargs):
+            opened.append(address)
+            return connect(address, *args, **kwargs)
 
-        handle.process_request = counted
+        monkeypatch.setattr(socket, "create_connection", counted)
         with WireClient(handle.base_url) as client:
             for _ in range(20):
                 assert client.request("find-services", {"topic": "location"}) == {
                     "service_ids": []}
-        assert len(accepted) == 1
+        assert opened == [(handle.host, handle.port)]
 
     @pytest.mark.skipif(getattr(socket, "TCP_QUICKACK", None) is None,
                         reason="the ACK of a reused connection is delayed without TCP_QUICKACK")
@@ -571,8 +571,8 @@ class TestConnectionPool:
 
     def test_wire_client_after_the_broker_dropped_the_idle_connection(
             self, running, monkeypatch):
-        monkeypatch.setattr(_Handler, "timeout", 0.2)
         handle, _ = running
+        monkeypatch.setattr(handle, "timeout", 0.2)
         with WireClient(handle.base_url) as client:
             assert client.request("find-services", {"topic": "location"}) == {"service_ids": []}
             time.sleep(0.5)
@@ -820,10 +820,27 @@ class TestHttpEndpoints:
         assert answer.startswith(b"HTTP/1.1 400 ")
         assert b'"BAD_REQUEST"' in answer
 
+    @pytest.mark.parametrize("at", ["service", "sim"])
+    def test_chunked_request_gets_one_501_then_the_end(self, running, endpoints, at):
+        # A body framed by Transfer-Encoding is not read as the next request.
+        envelope = json.dumps(make_envelope("notify", {})).encode()
+        port, path = (running[0].port, "/notify") if at == "service" else (
+            endpoints.server.port, "/consumers/c1")
+        request = (f"POST {path} HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n"
+                   "Content-Type: application/json\r\n\r\n").encode()
+        answer = raw_exchange(port, request + b"%x\r\n%s\r\n0\r\n\r\n" % (
+            len(envelope), envelope))
+        head, _, body = answer.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 501 ")
+        assert b"\r\nConnection: close" in head
+        length = int(re.search(rb"\r\nContent-Length: (\d+)", head)[1])
+        assert len(body) == length  # exactly one answer, then the end of the stream
+        assert json.loads(body)["body"]["code"] == "BAD_REQUEST"
+
     def test_short_body_times_out_and_frees_the_handler(self, running, monkeypatch):
-        assert _Handler.timeout == READ_TIMEOUT_S
-        monkeypatch.setattr(_Handler, "timeout", 0.3)
         handle, _ = running
+        assert handle.timeout == READ_TIMEOUT_S
+        monkeypatch.setattr(handle, "timeout", 0.3)
         head = b'POST /subscriptions HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n{"kind"'
         started = time.monotonic()
         assert raw_exchange(handle.port, head, timeout=2.0) == b""
@@ -832,9 +849,9 @@ class TestHttpEndpoints:
         assert (status, payload["kind"]) == (200, "ack")
 
     def test_sim_endpoint_short_body_times_out(self, endpoints, monkeypatch):
-        assert _SimEndpointsHandler.timeout == READ_TIMEOUT_S
-        monkeypatch.setattr(_SimEndpointsHandler, "timeout", 0.3)
-        port = endpoints.server.server_address[1]
+        assert endpoints.server.timeout == READ_TIMEOUT_S
+        monkeypatch.setattr(endpoints.server, "timeout", 0.3)
+        port = endpoints.server.port
         head = b"POST /consumers/c1 HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n{}"
         started = time.monotonic()
         assert raw_exchange(port, head, timeout=2.0) == b""

@@ -14,7 +14,8 @@ it unless a newer sample is cached). A pull-last changes nothing, so it
 is checked for every subscription and topic after every step: it answers
 the winner's cached sample, else the newest cached sample of any service
 admissible for the topic (ties to the smallest id), else
-``NO_VALUE_YET``. The cache empties on restart.
+``NO_VALUE_YET``. A service's samples leave the cache with its
+registration, and the cache empties on restart.
 """
 
 from __future__ import annotations
@@ -130,6 +131,8 @@ class JournalMachine(RuleBasedStateMachine):
         reg = data.draw(st.sampled_from(sorted(self.offers)))
         self.send("deregister", {"registration_id": reg})
         self.twin.deregister_context_service(reg)
+        for topic in self.offers[reg].offered_topics:  # a sample goes with its registration
+            self.cache.pop((topic, self.offers[reg].service_id), None)
         del self.offers[reg]
 
     @precondition(lambda self: self.offers)

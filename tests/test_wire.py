@@ -1,14 +1,19 @@
 """HTTP/1.1 framing of wire's client connections against a raw-socket
 peer that answers with canned bytes, the bound on answer bodies, one
-write per request and per answer, and pipelined runs of pushes."""
+write per request and per answer, pipelined runs of pushes, and the
+server's keep-alive, refusals and connection cap."""
 
 from __future__ import annotations
 
+import email.utils
 import json
 import re
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,13 +21,13 @@ from ctxbroker.errors import UpstreamUnavailable
 from ctxbroker.wire import (
     _RUN_BYTES,
     MAX_BODY_BYTES,
+    READ_TIMEOUT_S,
     DeliveryStatus,
     HttpTransport,
-    JsonHandler,
     RetryPolicy,
     Server,
+    _http_date,
     make_envelope,
-    send_json,
 )
 
 FAST_RETRY = RetryPolicy(attempts=3, backoff_initial=0.02)
@@ -224,6 +229,7 @@ OVERSIZED = {
     "chunks": answer(b"".join(b"%x\r\n%s\r\n" % (len(c), c) for c in [b" " * (1 << 19)] * 3),
                      b"Transfer-Encoding: chunked"),
     "to-the-end": b"HTTP/1.0 200 OK\r\n\r\n" + b" " * (MAX_BODY_BYTES + 1),
+    "long-number": answer(b"{", b"Content-Length: " + b"9" * 5000),
 }
 
 
@@ -254,13 +260,9 @@ class TestAnswerBound:
         assert len(server.requests) == 1
 
 
-class _Answering(JsonHandler):
-    # With Nagle's algorithm on, an answer written in two sends arrives in
-    # two recvs: the second send waits for the ACK of the first.
-    disable_nagle_algorithm = False
-
-    def do_GET(self):
-        send_json(self, 200, {"topic": self.path.rsplit("/", 1)[-1]})
+def answering(method, target, headers, body):
+    """A route that answers with the last segment of the target."""
+    return 200, {"topic": target.rsplit("/", 1)[-1]}
 
 
 class TestOneWrite:
@@ -277,8 +279,17 @@ class TestOneWrite:
             assert json.loads(body)["kind"] == "notify"
             assert b"\r\nContent-Length: %d\r\n" % len(body) in head + b"\r\n"
 
-    def test_a_server_answer_arrives_in_one_recv(self):
-        with Server("127.0.0.1", 0, _Answering) as server:
+    def test_a_server_answer_arrives_in_one_recv(self, monkeypatch):
+        answers = []
+        sendall = socket.socket.sendall
+
+        def counted(sock, data, *args):
+            if sock.getsockname()[1] == server.port:  # the server's end
+                answers.append(bytes(data))
+            return sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", counted)
+        with Server("127.0.0.1", 0, answering) as server:
             with socket.create_connection((server.host, server.port), timeout=5) as sock:
                 for topic in ("a", "b", "c"):
                     sock.sendall(b"GET /topics/%s HTTP/1.1\r\nHost: x\r\n\r\n" % topic.encode())
@@ -287,6 +298,8 @@ class TestOneWrite:
                     length = int(re.search(rb"\r\nContent-Length: (\d+)", head).group(1))
                     assert length == len(body)
                     assert json.loads(body) == {"topic": topic}
+        assert len(answers) == 3
+        assert [json.loads(a.partition(b"\r\n\r\n")[2])["topic"] for a in answers] == list("abc")
 
 
 def batch(peer, *names, pad=""):
@@ -403,3 +416,174 @@ class TestPipelinedPushes:
         got = transport.push_many(items)
         assert got == statuses((True, 1), (False, attempts), (True, 1))
         assert received(server) == [("a", 0), ("b", 1)]
+
+
+GET = b"GET /topics/a HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+def read_to_end(sock):
+    """Everything ``sock`` receives until the peer closes it."""
+    chunks = []
+    while chunk := sock.recv(65536):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def send_quietly(sock, data):
+    """Send ``data`` unless the peer has closed the connection first."""
+    try:
+        sock.sendall(data)
+    except (BrokenPipeError, ConnectionResetError):
+        pass
+
+
+@pytest.fixture
+def server():
+    with Server("127.0.0.1", 0, answering) as started:
+        yield started
+
+
+class TestServer:
+    def test_pipelined_requests_are_answered_in_order(self, server):
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            sock.sendall(GET.replace(b"/a", b"/b") + GET + b"GET /topics/c HTTP/1.1\r\n"
+                         b"Connection: close\r\n\r\n")
+            got = read_to_end(sock)
+        assert [json.loads(m)["topic"] for m in re.findall(rb"\r\n\r\n(\{[^}]*\})", got)] == [
+            "b", "a", "c"]
+
+    @pytest.mark.parametrize("request_line, fields", [
+        (b"GET /topics/a HTTP/1.0", b""),
+        (b"GET /topics/a HTTP/1.1", b"Connection: close\r\n"),
+    ], ids=["http-1.0", "connection-close"])
+    def test_a_request_that_closes_gets_one_answer_then_the_end(
+            self, server, request_line, fields):
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            sock.sendall(request_line + b"\r\n" + fields + b"\r\n" + GET)
+            got = read_to_end(sock)
+        assert got.count(b"HTTP/1.1 ") == 1
+        assert b"\r\nConnection: close\r\n" in got
+        assert got.endswith(b'{"topic": "a"}')
+
+    def test_an_answer_is_dated(self, server):
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            sock.sendall(GET)
+            head = sock.recv(65536).partition(b"\r\n\r\n")[0].decode()
+        date = re.search(r"\r\nDate: ([^\r]+)", head)[1]
+        assert abs(email.utils.parsedate_to_datetime(date).timestamp() - time.time()) < 5
+        assert "\r\nContent-Type: application/json\r\n" in head
+
+    @pytest.mark.parametrize("second", [0, 951782400, 1700000000, 4102444799])
+    def test_http_date_is_the_imf_fixdate(self, second):
+        assert _http_date(second) == email.utils.formatdate(second, usegmt=True)
+
+    def test_expect_100_continue_is_answered_before_the_body(self, server):
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            sock.sendall(b"POST /topics/a HTTP/1.1\r\nContent-Length: 2\r\n"
+                         b"Expect: 100-continue\r\n\r\n")
+            assert sock.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(b"{}")
+            assert sock.recv(65536).startswith(b"HTTP/1.1 200 OK\r\n")
+
+    def test_transfer_encoding_is_refused_before_the_route(self, monkeypatch):
+        routed = []
+
+        def route(*request):
+            routed.append(request)
+            return 200, {}
+
+        with Server("127.0.0.1", 0, route) as server:
+            with socket.create_connection((server.host, server.port), timeout=5) as sock:
+                sock.sendall(b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+                             b"2\r\n{}\r\n0\r\n\r\n")
+                got = read_to_end(sock)
+        assert got.startswith(b"HTTP/1.1 501 Not Implemented\r\n")
+        assert got.count(b"HTTP/1.1 ") == 1 and b"\r\nConnection: close\r\n" in got
+        assert routed == []
+
+    def test_a_connection_over_the_cap_is_answered_503_by_the_accept_thread(
+            self, server, monkeypatch):
+        monkeypatch.setattr("ctxbroker.wire.MAX_CONNECTIONS", 2)
+        address = (server.host, server.port)
+        first = socket.create_connection(address, timeout=5)
+        with first, socket.create_connection(address, timeout=5) as second:
+            for sock in (first, second):  # answered, and kept open
+                sock.sendall(GET)
+                assert sock.recv(65536).startswith(b"HTTP/1.1 200 OK\r\n")
+            with socket.create_connection(address, timeout=5) as third:
+                refused = read_to_end(third)
+            assert refused.startswith(b"HTTP/1.1 503 Service Unavailable\r\n")
+            assert b"\r\nConnection: close\r\n" in refused and b'"UNAVAILABLE"' in refused
+            assert len(server._open) == 2  # no thread was started for the third
+            first.close()
+            deadline = time.monotonic() + 5
+            while len(server._open) > 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            with socket.create_connection(address, timeout=5) as fourth:
+                fourth.sendall(GET)
+                assert fourth.recv(65536).startswith(b"HTTP/1.1 200 OK\r\n")
+
+    def test_a_refusal_ends_cleanly_for_a_client_still_sending_its_body(self, server):
+        # The server closes with the body unread, which resets the
+        # connection; the client reads the answer and then the end of the
+        # stream, not the reset.
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            body = b"2\r\n{}\r\n" * 20000  # more than the server reads ahead
+            sender = threading.Thread(target=send_quietly, args=(
+                sock, b"POST /x HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n" + body))
+            sender.start()
+            got = read_to_end(sock)
+            sender.join(timeout=5)
+        assert got.startswith(b"HTTP/1.1 501 ")
+
+    def test_connections_racing_the_cap_are_each_answered_and_ended(self, server, monkeypatch):
+        monkeypatch.setattr("ctxbroker.wire.MAX_CONNECTIONS", 1)
+        statuses = []
+        interval = sys.getswitchinterval()
+
+        def client():
+            for _ in range(40):
+                with socket.create_connection((server.host, server.port), timeout=5) as sock:
+                    send_quietly(sock, GET.replace(b"HTTP/1.1", b"HTTP/1.0"))
+                    statuses.append(read_to_end(sock)[:12])
+
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(statuses) == 160
+        assert set(statuses) <= {b"HTTP/1.1 200", b"HTTP/1.1 503"}
+        assert b"HTTP/1.1 200" in statuses
+        deadline = time.monotonic() + 5
+        while server._open and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not server._open  # every admitted connection left the count
+
+    def test_a_silent_connection_closes_after_the_timeout(self, server, monkeypatch):
+        assert server.timeout == READ_TIMEOUT_S
+        monkeypatch.setattr(server, "timeout", 0.2)
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            started = time.monotonic()
+            assert read_to_end(sock) == b""
+        assert time.monotonic() - started < 2
+
+
+def test_no_module_imports_the_stdlib_http_stack():
+    """The package frames HTTP itself: importing every module loads none
+    of http.server, http.client or email."""
+    code = ("import pkgutil, importlib, sys, ctxbroker\n"
+            "for m in pkgutil.iter_modules(ctxbroker.__path__):\n"
+            "    if m.name != '__main__':\n"
+            "        importlib.import_module('ctxbroker.' + m.name)\n"
+            "print(sorted(n for n in sys.modules if n.split('.')[0] == 'email'"
+            " or n in ('http.server', 'http.client')))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": str(src)}, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
