@@ -43,7 +43,6 @@ import threading
 import time
 import uuid
 from bisect import bisect_left, insort
-from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Iterable, Protocol
@@ -154,14 +153,15 @@ class _Dispatcher:
     worker takes everything queued at once, pushes it in order outside the
     lock, so it yields to registry work instead of contending for the
     interpreter with it, then counts the batch done in one more lock turn.
+    ``close()`` sets ``_closing``; the worker pushes the batch it takes with
+    the flag set, which holds all that was queued before the close, and stops.
     """
-
-    _STOP = object()
 
     def __init__(self, transport: Transport, lock: threading.RLock) -> None:
         self._transport = transport
-        self._queue: deque = deque()
+        self._queue: list[tuple[str, dict[str, Any]]] = []
         self._pending = 0
+        self._closing = False
         self._ready = threading.Condition(lock)
         self._idle = threading.Condition(lock)
         self._thread = threading.Thread(target=self._run, name="ctxbroker-dispatch", daemon=True)
@@ -171,60 +171,41 @@ class _Dispatcher:
         """Queue ``(callback_address, message)`` pairs in order."""
         with self._ready:
             self._pending += len(items)
-            self._queue.extend(items)
+            self._queue += items
             self._ready.notify()
 
     def _run(self) -> None:
         push_many = getattr(self._transport, "push_many", None)
-        while True:
+        closing = False
+        while not closing:
             with self._ready:
-                while not self._queue:
+                while not (self._queue or self._closing):
                     self._ready.wait()
-                batch, self._queue = self._queue, deque()
+                batch, self._queue, closing = self._queue, [], self._closing
+            if not batch:  # closed with nothing queued
+                return
             if push_many is not None:
-                pushed = self._push_many(push_many, batch)
+                try:
+                    statuses = push_many(batch)
+                except Exception:
+                    log.exception("transport.push_many failed for %d message(s)", len(batch))
+                    statuses = [DeliveryStatus(delivered=False, attempts=0)] * len(batch)
+                for (address, message), status in zip(batch, statuses):
+                    if not status.delivered:
+                        _dropped(address, message, status)
             else:
-                pushed = 0
-                for item in batch:
-                    if item is self._STOP:
-                        break
-                    address, message = item
+                for address, message in batch:
                     try:
                         status = self._transport.push(address, message)
                     except Exception:
                         log.exception("transport.push failed for %s", address)
                         status = DeliveryStatus(delivered=False, attempts=0)
                     if not status.delivered:
-                        log.warning(
-                            "dropping %s for %s after %d attempt(s)",
-                            message.get("kind"), address, status.attempts,
-                        )
-                    pushed += 1
+                        _dropped(address, message, status)
             with self._idle:
-                self._pending -= pushed
+                self._pending -= len(batch)
                 if not self._pending:
                     self._idle.notify_all()
-            if pushed < len(batch):  # stopped by close()
-                return
-
-    def _push_many(self, push_many: Callable, batch: deque) -> int:
-        """Push the batch up to the close sentinel in one transport call,
-        none when the sentinel comes first; the number of messages pushed."""
-        items = list(itertools.takewhile(lambda item: item is not self._STOP, batch))
-        if not items:
-            return 0
-        try:
-            statuses = push_many(items)
-        except Exception:
-            log.exception("transport.push_many failed for %d message(s)", len(items))
-            statuses = [DeliveryStatus(delivered=False, attempts=0)] * len(items)
-        for (address, message), status in zip(items, statuses):
-            if not status.delivered:
-                log.warning(
-                    "dropping %s for %s after %d attempt(s)",
-                    message.get("kind"), address, status.attempts,
-                )
-        return len(items)
 
     def drain(self, timeout: float = 10.0) -> bool:
         """Block until the queue is empty and no delivery is in flight."""
@@ -233,9 +214,14 @@ class _Dispatcher:
 
     def close(self) -> None:
         with self._ready:
-            self._queue.append(self._STOP)
+            self._closing = True
             self._ready.notify()
         self._thread.join(timeout=5.0)
+
+
+def _dropped(address: str, message: dict[str, Any], status: DeliveryStatus) -> None:
+    log.warning("dropping %s for %s after %d attempt(s)",
+                message.get("kind"), address, status.attempts)
 
 
 def _now_ms() -> int:

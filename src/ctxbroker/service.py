@@ -12,6 +12,7 @@ not persisted; it refills from fresh publications.
 
 from __future__ import annotations
 
+import errno
 import json
 import logging
 import os
@@ -233,15 +234,19 @@ class BrokerService:
         line = json.dumps(record, separators=(",", ":")).encode() + b"\n"
         if journal.file is None or journal.tail_bytes > journal.base_bytes:
             self._open()
+        handle, journal.file = journal.file, None  # reopened by the next append if this fails
         try:
-            journal.file.write(line)
-            journal.file.flush()
-            os.fsync(journal.file.fileno())
+            if handle.write(line) != len(line):
+                raise OSError(errno.ENOSPC, "short write to the journal")
+            os.fsync(handle.fileno())
         except OSError:
-            # The next append reopens the file and cuts off what this one wrote.
-            journal.file.close()
-            journal.file = None
+            try:  # a refused record must not outlive a crash; if this fails, _open cuts it
+                os.ftruncate(handle.fileno(), journal.end)
+            except OSError:
+                pass
+            handle.close()
             raise
+        journal.file = handle
         journal.end += len(line)
 
     def _open(self) -> None:
@@ -253,7 +258,7 @@ class BrokerService:
             journal.file = None
         if not journal.base_bytes or journal.tail_bytes > journal.base_bytes:
             self._compact()
-        handle = open(self.config.persist_path, "ab")
+        handle = open(self.config.persist_path, "ab", buffering=0)  # a failed write leaves no buffer
         try:
             handle.truncate(journal.end)
         except OSError:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import logging
 import random
 import re
+import sys
 import threading
+import time
 
 import pytest
 
@@ -337,6 +339,26 @@ class TestPullCurrent:
         with pytest.raises(errors.NotFound):
             broker.get_current_topic_value("sub-404", "location")
 
+    @pytest.mark.parametrize("answer", [
+        {"topic": "location", "payload": "p", "service_id": "cs-a"},
+        {**sample_for("cs-a").to_dict(), "produced_at": "noon"},
+        ["not", "a", "sample"],
+        sample_for("cs-a", topic="humidity").to_dict(),
+        sample_for("cs-b").to_dict(),
+    ], ids=["no-produced-at", "bad-produced-at", "not-an-object", "other-topic", "other-service"])
+    def test_an_answer_that_is_not_the_asked_sample_is_refused_uncached(
+        self, broker, threshold_profile, transport, answer
+    ):
+        broker.register_context_service(make_offer("cs-a", 0.9, 0.95, 0.99), "svc://a")
+        # Admissible but not selected: pull-last falls back to its samples.
+        broker.register_context_service(make_offer("cs-b", 0.85, 0.94, 0.99), "svc://b")
+        transport.values["svc://a"] = {"location": answer}
+        sub = broker.subscribe("app-1", threshold_profile, "cb://app-1")
+        with pytest.raises(errors.UpstreamUnavailable):
+            broker.get_current_topic_value(sub, "location")
+        with pytest.raises(errors.NoValueYet):
+            broker.get_last_topic_value(sub, "location")
+
 
 class TestPullLast:
     def test_before_any_publication(self, broker, threshold_profile):
@@ -565,14 +587,45 @@ class TestDeliveryOrderAndCompleteness:
         broker.notify_renegotiation(subs[0], ["primer"])  # holds the worker
         assert transport.holding.wait(5)
         broker.notify_context_change("cs-a", sample_for("cs-a", payload="a1"))
-        # The close sentinel joins the publication's pushes in one batch.
+        # close() sets its flag while the pushes wait; the worker takes them in one batch.
         threading.Timer(0.2, transport.gate.set).start()
         broker.close()
         assert kinds_per_subscription(transport, subs) == {
             sub: ([("advisory", ["primer"])] if i == 0 else []) + [("notify", "a1")]
             for i, sub in enumerate(subs)}
         if isinstance(transport, GatedBatchTransport):
-            assert transport.batches == [1, 3]  # the sentinel is not pushed
+            assert transport.batches == [1, 3]  # then stops, with no empty batch
+
+    def test_close_racing_publishers_pushes_each_earlier_message_once_in_order(self, gated):
+        broker, transport, subs = gated
+        transport.gate.set()
+        sent = dict.fromkeys(subs, 0)  # advisories whose call has returned
+        stop = threading.Event()
+
+        def publish(sub):
+            while not stop.is_set():
+                broker.notify_renegotiation(sub, [f"n{sent[sub]}"])
+                sent[sub] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=publish, args=(sub,)) for sub in subs]
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(0.05)
+            before_close = dict(sent)
+            broker.close()
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for sub, pushed in kinds_per_subscription(transport, subs).items():
+            assert before_close[sub] > 0
+            assert before_close[sub] <= len(pushed) <= sent[sub]
+            assert pushed == [("advisory", [f"n{k}"]) for k in range(len(pushed))]
 
     def test_a_push_that_raises_loses_only_its_message(self, threshold_catalog, threshold_profile):
         transport = RaisingTransport()

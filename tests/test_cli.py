@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -221,3 +222,32 @@ def test_malformed_serve_config_is_an_error(tmp_path, capsys, monkeypatch, flag,
     path.write_text(json.dumps(document), encoding="utf-8")
     assert main(["serve", flag, str(path), "--listen", "127.0.0.1:0"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+
+
+class TestQuickDemo:
+    """README's quick demo, as its text describes it."""
+
+    def test_score_drops_the_offer_below_the_floor_and_picks_the_weighted_winner(self, capsys):
+        assert main(["score", str(DEMO / "profile.json"), str(DEMO / "offers.json")]) == 0
+        header, _, row = capsys.readouterr().out.splitlines()
+        # budget-feed misses the availability floor, so it gets no column.
+        assert header.split() == ["topic", "city-sensors", "fleet-trackers", "max", "selected"]
+        assert row.split()[0] == "location" and row.split()[-1] == "fleet-trackers"
+
+    def test_scenario_switches_to_the_runner_up_in_both_modes(self, tmp_path, capsys):
+        reports = []
+        for mode in ("in-process", "over-wire"):
+            out = tmp_path / f"{mode}.json"
+            assert main(["sim", "run", str(DEMO / "scenario.json"), "--mode", mode,
+                         "--out", str(out)]) == 0
+            reports.append(parse_report(out.read_text(encoding="utf-8")))
+        assert reports[0] == reports[1]
+        location = reports[0].consumers["route-planner"]["topics"]["location"]
+        # Only the winner's publications arrive until it deregisters.
+        assert location["received"] == [
+            ["fleet-trackers", "41.39,2.16"], ["fleet-trackers", "41.41,2.18"],
+            ["city-sensors", "41.42,2.19"]]
+        assert location["selected_history"] == ["fleet-trackers", "city-sensors"]

@@ -3,6 +3,7 @@ snapshot persistence and crash-restart equivalence."""
 
 from __future__ import annotations
 
+import errno
 import http.client
 import json
 import os
@@ -1445,6 +1446,89 @@ class TestCrashRestartEquivalence:
         assert after != before
         assert crash_restart_state() == after
         service.close()
+
+    @pytest.fixture
+    def journaled(self, tmp_path):
+        """A service holding sub-1 and sub-2 whose next append writes its
+        record without compacting first, ``subscribe(consumer_id)``, and
+        the subscriptions a restart from a copy of the file finds."""
+        catalog = IndicatorCatalog(("q1", "q2"), ("s1",))
+        config = ServiceConfig(catalog=catalog, persist_path=tmp_path / "s.json", retry=FAST_RETRY)
+        service = BrokerService(config, transport=RecordingTransport())
+        profile = random_profile(random.Random(3), catalog, 2).to_dict()
+
+        def subscribe(consumer_id):
+            return service.handle_request(make_envelope("subscribe", {
+                "consumer_id": consumer_id, "profile": profile, "callback_address": "cb://x"}))
+
+        def crash_restart_subscriptions():
+            copy = tmp_path / "copy.json"
+            copy.write_bytes(config.persist_path.read_bytes())
+            restarted = BrokerService(
+                ServiceConfig(catalog=catalog, persist_path=copy, retry=FAST_RETRY),
+                transport=RecordingTransport())
+            state = restarted.broker.snapshot_state()
+            crash(restarted)
+            return {s["subscription_id"]: s["consumer_id"] for s in state["subscriptions"]}
+
+        for consumer_id in ("app-1", "app-2"):
+            assert subscribe(consumer_id)["kind"] == "ack"
+        journal = service._journal
+        assert journal.file is not None and journal.tail_bytes <= journal.base_bytes
+        yield service, subscribe, crash_restart_subscriptions
+        service.close()
+
+    def test_a_record_whose_fsync_failed_is_gone_after_a_crash(self, journaled, monkeypatch):
+        service, subscribe, crash_restart_subscriptions = journaled
+
+        def failing_fsync(fd):
+            raise OSError(errno.EIO, "input/output error")
+
+        monkeypatch.setattr(os, "fsync", failing_fsync)
+        assert subscribe("refused")["body"]["code"] == "INTERNAL"
+        monkeypatch.undo()
+        assert crash_restart_subscriptions() == {"sub-1": "app-1", "sub-2": "app-2"}
+        assert subscribe("app-3")["body"] == {"subscription_id": "sub-3"}
+        assert crash_restart_subscriptions() == {
+            "sub-1": "app-1", "sub-2": "app-2", "sub-3": "app-3"}
+
+    def test_a_full_disk_refuses_one_append_and_not_the_next(self, journaled):
+        service, subscribe, crash_restart_subscriptions = journaled
+        before = service.config.persist_path.read_bytes()
+        full = os.open("/dev/full", os.O_WRONLY)  # every write fails with ENOSPC
+        try:
+            os.dup2(full, service._journal.file.fileno())
+        finally:
+            os.close(full)
+        assert subscribe("refused")["body"]["code"] == "INTERNAL"
+        assert service.config.persist_path.read_bytes() == before
+        assert subscribe("app-3")["body"] == {"subscription_id": "sub-3"}
+        assert crash_restart_subscriptions() == {
+            "sub-1": "app-1", "sub-2": "app-2", "sub-3": "app-3"}
+
+    def test_a_short_write_is_refused_and_cut_off(self, journaled):
+        service, subscribe, crash_restart_subscriptions = journaled
+
+        class ShortWrites:  # takes only part of a write, as a full disk can
+            def __init__(self, raw):
+                self.raw = raw
+
+            def write(self, data):
+                return self.raw.write(data[:10])
+
+            def fileno(self):
+                return self.raw.fileno()
+
+            def close(self):
+                self.raw.close()
+
+        before = service.config.persist_path.read_bytes()
+        service._journal.file = ShortWrites(service._journal.file)
+        assert subscribe("refused")["body"]["code"] == "INTERNAL"
+        assert service.config.persist_path.read_bytes() == before
+        assert subscribe("app-3")["body"] == {"subscription_id": "sub-3"}
+        assert crash_restart_subscriptions() == {
+            "sub-1": "app-1", "sub-2": "app-2", "sub-3": "app-3"}
 
     def test_interleavings_smoke(self, tmp_path):
         rng = random.Random(99)

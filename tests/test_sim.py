@@ -247,6 +247,38 @@ def test_mode_equivalence(seed):
     assert over_wire.meta["mode"] == "over-wire"
 
 
+def unsubscribe_scenario_dict():
+    """The consumer leaves between two publications and comes back."""
+    data = minimal_scenario_dict()
+    data["timeline"] = [
+        {"at": 0, "action": "register", "service_id": "cs-a"},
+        {"at": 1, "action": "subscribe", "consumer_id": "app-1"},
+        {"at": 2, "action": "publish", "service_id": "cs-a", "topic": "t1", "payload": "v1"},
+        {"at": 3, "action": "unsubscribe", "consumer_id": "app-1"},
+        {"at": 4, "action": "publish", "service_id": "cs-a", "topic": "t1", "payload": "v2"},
+        {"at": 5, "action": "subscribe", "consumer_id": "app-1"},
+        {"at": 6, "action": "publish", "service_id": "cs-a", "topic": "t1", "payload": "v3"},
+    ]
+    return data
+
+
+def test_no_notification_reaches_an_unsubscribed_consumer_in_either_mode():
+    scenario = Scenario.from_dict(unsubscribe_scenario_dict())
+    in_process = run(scenario, mode="in-process")
+    t1 = in_process.consumers["app-1"]["topics"]["t1"]
+    assert t1["received"] == [["cs-a", "v1"], ["cs-a", "v3"]]
+    assert t1["last"] == ["cs-a", "v3"]
+    assert in_process.services["cs-a"]["publications"] == 3
+    assert run(scenario, mode="over-wire") == in_process
+
+
+def test_unsubscribe_of_a_consumer_not_subscribed_is_refused(tmp_path):
+    data = unsubscribe_scenario_dict()
+    data["timeline"].insert(4, {"at": 3, "action": "unsubscribe", "consumer_id": "app-1"})
+    with pytest.raises(ScenarioError, match=r"^timeline\[4\]: consumer 'app-1' not subscribed$"):
+        load_scenario(write_scenario(tmp_path, data))
+
+
 def test_mode_equivalence_with_ids_and_topic_that_need_quoting():
     text = json.dumps(minimal_scenario_dict())
     for plain, quoted in (("cs-a", "svc/1"), ("t1", "room/temp"), ("app-1", "app 1")):
