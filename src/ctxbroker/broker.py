@@ -168,8 +168,12 @@ class _Dispatcher:
         self._thread.start()
 
     def enqueue(self, items: list[tuple[str, dict[str, Any]]]) -> None:
-        """Queue ``(callback_address, message)`` pairs in order."""
+        """Queue ``(callback_address, message)`` pairs in order; after
+        ``close()``, drop them with one warning, since no worker pushes them."""
         with self._ready:
+            if self._closing:
+                log.warning("dropping %d message(s) enqueued after close", len(items))
+                return
             self._pending += len(items)
             self._queue += items
             self._ready.notify()
@@ -379,9 +383,9 @@ class ContextBroker:
                 return sample
             profile = sub.profile
             candidates = [
-                cached for offer in self._eligible(profile)
+                cached for offer in self._live_offers()
                 if (cached := self._cache.get((topic, offer.service_id))) is not None
-                and score(offer, profile, j) is not None]
+                and qos_feasible(offer, profile) and score(offer, profile, j) is not None]
             if not candidates:
                 raise errors.NoValueYet(f"no value published yet for topic {topic!r}")
             return min(candidates, key=lambda s: (-s.produced_at, s.service_id))
@@ -637,13 +641,15 @@ class ContextBroker:
             if not qos_feasible(offer, profile):
                 continue
             state = self._selection[sub.subscription_id]
-            winners = list(state.winners)
+            winners = state.winners  # copied on the first topic that changes
             eligible = None
             lost = []
             for j, (winner, top) in enumerate(state.winners):
                 s = score(offer, profile, j)
                 if s is None or s < top - TIE_TOLERANCE:
                     continue
+                if winners is state.winners:
+                    winners = list(winners)
                 if s > top + TIE_TOLERANCE:  # only when ``offer`` was added
                     winners[j] = (sid, s)
                 else:

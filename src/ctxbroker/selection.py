@@ -18,6 +18,7 @@ selection is reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge, mul
 from typing import Any, Iterable, Sequence
 
 from .errors import Conflict, DimensionMismatch, NotSubscribed
@@ -59,12 +60,13 @@ def qos_feasible(offer: ServiceOffer, profile: RequirementProfile) -> bool:
 
     Services failing this are excluded from scoring entirely.
     """
-    if len(offer.qos_offer) != len(profile.qos_min):
+    levels, minimums = offer.qos_offer, profile.qos_min
+    if len(levels) != len(minimums):  # before ``map``, which stops at the shorter one
         raise DimensionMismatch(
-            f"qos vector of {offer.service_id!r} has {len(offer.qos_offer)} entries, "
-            f"profile expects {len(profile.qos_min)}"
+            f"qos vector of {offer.service_id!r} has {len(levels)} entries, "
+            f"profile expects {len(minimums)}"
         )
-    return all(q >= mn for mn, q in zip(profile.qos_min, offer.qos_offer))
+    return all(map(ge, levels, minimums))
 
 
 def qoc_feasible(
@@ -95,13 +97,13 @@ def score(offer: ServiceOffer, profile: RequirementProfile, j: int) -> float | N
     minimums = profile.qoc_min[j]
     weights = profile.weights[j]
     if len(levels) != len(minimums) or len(levels) != len(weights):
-        raise DimensionMismatch(
+        raise DimensionMismatch(  # before ``map``, which stops at the shorter vector
             f"qoc vector of {offer.service_id!r} for {topic!r} has {len(levels)} "
             f"entries, profile has {len(minimums)} minimums and {len(weights)} weights"
         )
-    if not all(q >= mn for mn, q in zip(minimums, levels)):
+    if not all(map(ge, levels, minimums)):
         return None
-    return sum(w * q for w, q in zip(weights, levels))
+    return sum(map(mul, weights, levels))
 
 
 def _check_unique_ids(offers: Iterable[ServiceOffer]) -> None:
@@ -112,14 +114,15 @@ def _check_unique_ids(offers: Iterable[ServiceOffer]) -> None:
         seen.add(offer.service_id)
 
 
-def _rank(candidates: list[tuple[str, float]]) -> tuple[str | None, float]:
-    """Winner among (service_id, score) pairs: max score, ties to the
-    lexicographically smallest id."""
-    if not candidates:
-        return None, 0.0
-    best = max(value for _, value in candidates)
-    winner = min(sid for sid, value in candidates if value >= best - TIE_TOLERANCE)
-    return winner, next(value for sid, value in candidates if sid == winner)
+def _rank(feasible: dict[str, float]) -> tuple[str | None, float]:
+    """Winner among the feasible services, given as service id -> score:
+    the smallest id within ``TIE_TOLERANCE`` of the top score; and that top
+    score, -inf when there is none."""
+    if not feasible:
+        return None, float("-inf")
+    top = max(feasible.values())
+    floor = top - TIE_TOLERANCE
+    return min(sid for sid, s in feasible.items() if s >= floor), top
 
 
 def rank_topic(
@@ -129,9 +132,7 @@ def rank_topic(
     as in :func:`build_decision_matrix`, and the top feasible score, which
     the winner may trail by up to ``TIE_TOLERANCE``; (None, -inf) when no
     offer is feasible for the topic."""
-    feasible = [(o.service_id, s) for o in offers if (s := score(o, profile, j)) is not None]
-    winner, _ = _rank(feasible)
-    return winner, max((s for _, s in feasible), default=float("-inf"))
+    return _rank({o.service_id: s for o in offers if (s := score(o, profile, j)) is not None})
 
 
 def build_decision_matrix(
@@ -152,18 +153,18 @@ def build_decision_matrix(
     selected: list[str | None] = []
     for j in range(len(profile.topics)):
         row = []
-        feasible = []
+        feasible = {}
         for o in eligible:
             s = score(o, profile, j)
             if s is None:
                 row.append(0.0)
             else:
                 row.append(s)
-                feasible.append((o.service_id, s))
+                feasible[o.service_id] = s
         rows.append(tuple(row))
-        winner, best = _rank(feasible)
+        winner, _ = _rank(feasible)
         selected.append(winner)
-        max_score.append(best)
+        max_score.append(0.0 if winner is None else feasible[winner])
     return DecisionMatrix(
         topics=profile.topics,
         services=tuple(o.service_id for o in eligible),

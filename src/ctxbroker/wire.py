@@ -363,6 +363,10 @@ class _Refused(OSError):
 _TOKEN = rb"[!#$%&'*+.^_`|~0-9A-Za-z-]+"
 _REQUEST_LINE = re.compile(rb"(%s) ([!-~]+) HTTP/1\.([01])" % _TOKEN)
 _FIELD_LINE = re.compile(rb"(%s):(.*)" % _TOKEN)
+_STATUS_LINE = re.compile(rb"HTTP/1\.(\d) (\d\d\d)(?: .*)?")
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]+")
+# Any character but visible ASCII: a URL that holds one is refused.
+_NOT_URL = re.compile(r"[^!-~]")
 
 
 class _Conn:
@@ -394,7 +398,7 @@ class _Conn:
         status = 100
         while 100 <= status < 200:
             line = self._line()
-            status_line = re.fullmatch(rb"HTTP/1\.(\d) (\d\d\d)(?: .*)?", line)
+            status_line = _STATUS_LINE.fullmatch(line)
             if not status_line:
                 raise OSError(f"malformed status line {line[:80]!r}")
             status, fields = int(status_line[2]), self._fields()
@@ -465,7 +469,7 @@ class _Conn:
         body = bytearray()
         while True:
             size = self._line().partition(b";")[0].strip()
-            if not re.fullmatch(rb"[0-9A-Fa-f]+", size):
+            if not _CHUNK_SIZE.fullmatch(size):
                 raise OSError(f"malformed chunk size {size[:40]!r}")
             if len(body) + int(size, 16) > MAX_BODY_BYTES:
                 raise _BodyTooLong(status)
@@ -513,7 +517,7 @@ def _request(method: str, url: str, payload: dict[str, Any] | None) -> _Request:
     raises OSError: unreachable like a refused connection, so a push
     retries and a pull fails upstream."""
     parts = urllib.parse.urlsplit(url)
-    if parts.scheme != "http" or not parts.hostname or re.search(r"[^!-~]", url):
+    if parts.scheme != "http" or not parts.hostname or _NOT_URL.search(url):
         raise OSError(f"not an http URL: {url!r}")
     try:
         peer = (parts.hostname, parts.port or 80)

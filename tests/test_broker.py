@@ -627,6 +627,22 @@ class TestDeliveryOrderAndCompleteness:
             assert before_close[sub] <= len(pushed) <= sent[sub]
             assert pushed == [("advisory", [f"n{k}"]) for k in range(len(pushed))]
 
+    def test_a_closed_broker_drops_what_is_sent_to_it(self, gated, caplog):
+        broker, transport, subs = gated
+        transport.gate.set()
+        broker.close()
+        caplog.set_level(logging.WARNING, logger="ctxbroker.broker")
+        for k in range(1000):
+            broker.notify_renegotiation(subs[k % 3], [f"n{k}"])
+        start = time.monotonic()
+        assert broker.drain(0.3) is True
+        assert time.monotonic() - start < 0.1
+        assert broker._dispatcher._pending == 0
+        assert broker._dispatcher._queue == []
+        assert transport.pushes == []
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+            "dropping 1 message(s) enqueued after close"] * 1000
+
     def test_a_push_that_raises_loses_only_its_message(self, threshold_catalog, threshold_profile):
         transport = RaisingTransport()
         broker, subs = serve_three(transport, threshold_catalog, threshold_profile)

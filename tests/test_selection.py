@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ctxbroker.errors import Conflict, DimensionMismatch, NotSubscribed
 from ctxbroker.model import IndicatorCatalog, RequirementProfile, ServiceOffer
@@ -14,6 +17,7 @@ from ctxbroker.selection import (
     oracle_select,
     qoc_feasible,
     qos_feasible,
+    rank_topic,
     renegotiation_report,
     score,
     select_multi_cloud,
@@ -123,6 +127,20 @@ class TestTopicScores:
         short_weights = simple_profile(weights=(1.0,))
         with pytest.raises(DimensionMismatch):
             score(make_offer("cs1", 0.9, 0.95, 0.99), short_weights, 0)
+
+    def test_a_vector_one_entry_longer_than_its_floors_raises(self, threshold_profile):
+        # Each prefix meets its floors, so a kernel that truncated would accept.
+        longer = ServiceOffer(
+            service_id="cs1",
+            cloud_id="c",
+            offered_topics=("location",),
+            qoc_offer={"location": (0.9, 0.95, 0.0)},
+            qos_offer=(0.99, 0.0),
+        )
+        with pytest.raises(DimensionMismatch):
+            score(longer, threshold_profile, 0)
+        with pytest.raises(DimensionMismatch):
+            qos_feasible(longer, threshold_profile)
 
     def test_single_indicator_equality_boundary(self):
         catalog = IndicatorCatalog(qoc_indicators=("p1",), qos_indicators=("s1",))
@@ -262,6 +280,78 @@ class TestOracleEquivalence:
             qos_offer=(0.5,),
         )
         assert oracle_select([offer], profile).selected == ("cs1", "cs1")
+
+
+GRID = st.integers(0, 100).map(lambda k: k / 100)
+FLOOR = st.one_of(st.just(0.0), st.integers(0, 60).map(lambda k: k / 100))
+
+
+@st.composite
+def ranking_instances(draw):
+    """A profile and offers, in random admission order, with levels on the
+    0.01 grid. Some offers are exact duplicates of another under a smaller
+    id; others are twins with each level vector reversed, which under a
+    topic's equal weights score the same or, rounded differently, within
+    ``TIE_TOLERANCE`` of it."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 2))
+    topics = tuple(f"t{j}" for j in range(draw(st.integers(1, 3))))
+
+    def vector(values, size):
+        return draw(st.tuples(*[values] * size))
+
+    profile = RequirementProfile(
+        topics=topics,
+        qoc_min=tuple(vector(FLOOR, m) for _ in topics),
+        qos_min=vector(FLOOR, n),
+        weights=tuple(vector(GRID, m) if draw(st.booleans()) else (draw(GRID),) * m
+                      for _ in topics),
+    )
+    offers = []
+    for i in range(draw(st.integers(0, 6))):
+        offered = tuple(t for t in topics if draw(st.booleans()))
+        offers.append(ServiceOffer(f"s{i}", "c", offered, {t: vector(GRID, m) for t in offered},
+                                   vector(GRID, n)))
+    for i, base in enumerate(draw(st.lists(st.sampled_from(offers), max_size=3)) if offers else []):
+        if draw(st.booleans()):
+            offers.append(replace(base, service_id=f"d{i}"))
+        else:
+            offers.append(replace(base, service_id=f"p{i}", qoc_offer={
+                t: levels[::-1] for t, levels in base.qoc_offer.items()}))
+    return profile, draw(st.permutations(offers))
+
+
+# Equal weights sum (0.1, 0.2, 0.3) to 0.6000000000000001 and its reverse
+# to 0.6: the second trails the top inside the tie band and wins on its id.
+BAND = RequirementProfile(
+    topics=("t",), qoc_min=((0.0, 0.0, 0.0),), qos_min=(0.0,), weights=((1.0, 1.0, 1.0),)
+)
+HIGH = ServiceOffer("b", "c", ("t",), {"t": (0.1, 0.2, 0.3)}, (1.0,))
+LOW = ServiceOffer("a", "c", ("t",), {"t": (0.3, 0.2, 0.1)}, (1.0,))
+
+
+class TestRankTopicAgainstOracle:
+    @given(ranking_instances())
+    @example((BAND, [HIGH, replace(LOW, service_id="c"), LOW]))
+    @settings(max_examples=200, deadline=None)
+    def test_winner_and_top_match_the_oracle(self, instance):
+        profile, offers = instance
+        oracle = oracle_select(offers, profile)
+        eligible = [o for o in offers if qos_feasible(o, profile)]
+        assert tuple(o.service_id for o in eligible) == oracle.services
+        for j, row in enumerate(oracle.scores):
+            winner, top = rank_topic(eligible, profile, j)
+            assert winner == oracle.selected[j]
+            if winner is None:
+                assert top == float("-inf")
+            else:  # weights and levels are >= 0, so no feasible cell is below an infeasible 0
+                assert abs(top - max(row)) <= 1e-9
+
+    def test_a_score_trailing_the_top_inside_the_tie_band_wins_on_its_id(self):
+        top = score(HIGH, BAND, 0)
+        assert 0 < top - score(LOW, BAND, 0) < TIE_TOLERANCE
+        assert rank_topic([HIGH, LOW], BAND, 0) == ("a", top)
+        assert oracle_select([HIGH, LOW], BAND).selected == ("a",)
 
 
 def feasible_tie_set(offers, profile, j):
