@@ -251,7 +251,7 @@ class ContextBroker:
         self._lock = threading.RLock()
         self._subscriptions: dict[str, Subscription] = {}
         self._registrations: dict[str, Registration] = {}
-        self._service_registration: dict[str, str] = {}
+        self._services: dict[str, Registration] = {}  # service id -> its live registration
         self._selection: dict[str, SelectionState] = {}
         # topic -> subscriptions with the topic, in admission order
         self._consumers: dict[TopicId, dict[str, Subscription]] = {}
@@ -306,10 +306,10 @@ class ContextBroker:
         """Accept one publication; fan out to subscriptions whose selected
         service for the topic is the publisher."""
         with self._lock:
-            registration_id = self._service_registration.get(service_id)
-            if registration_id is None:
+            reg = self._services.get(service_id)
+            if reg is None:
                 raise errors.Unregistered(f"service {service_id!r} is not registered")
-            offer = self._registrations[registration_id].offer
+            offer = reg.offer
             if sample.service_id != service_id:
                 raise errors.BadRequest(
                     f"sample names service {sample.service_id!r}, publisher is {service_id!r}"
@@ -346,10 +346,9 @@ class ContextBroker:
                     f"no admissible service for topic {topic!r}",
                     topics=_unprovisioned(sub.profile, winners),
                 )
-            registration_id = self._service_registration[selected]
-            address = self._registrations[registration_id].service_address
+            reg = self._services[selected]
         # Network round trip happens outside the registry lock.
-        data = self._transport.pull(address, topic)
+        data = self._transport.pull(reg.service_address, topic)
         try:
             sample = ContextSample.from_dict(data)
         except (KeyError, TypeError, ValueError) as exc:
@@ -363,7 +362,7 @@ class ContextBroker:
         with self._lock:
             key = (topic, selected)
             cached = self._cache.get(key)
-            live = self._service_registration.get(selected) == registration_id
+            live = self._services.get(selected) is reg
             if live and (cached is None or sample.produced_at >= cached.produced_at):
                 self._cache[key] = sample
         return sample
@@ -551,7 +550,7 @@ class ContextBroker:
             result = validate_offer(offer, self.catalog)
             if not result:
                 raise errors.BadRequest(f"invalid offer {offer.service_id!r}: {result.reason}")
-            if offer.service_id in self._service_registration:
+            if offer.service_id in self._services:
                 raise errors.Conflict(
                     f"service {offer.service_id!r} already has an active registration")
             if target.registration_id in self._registrations:
@@ -611,13 +610,13 @@ class ContextBroker:
         self._seq += 1
         self._next_reg += 1
         self._registrations[reg.registration_id] = reg
-        self._service_registration[reg.offer.service_id] = reg.registration_id
+        self._services[reg.offer.service_id] = reg
         self._reselect(reg.offer, push)
 
     def _remove_registration(self, reg: Registration, push: bool) -> None:
         self._seq += 1
         del self._registrations[reg.registration_id]
-        del self._service_registration[reg.offer.service_id]
+        del self._services[reg.offer.service_id]
         for topic in reg.offer.offered_topics:  # a sample lives as long as its registration
             self._cache.pop((topic, reg.offer.service_id), None)
         self._reselect(reg.offer, push)

@@ -14,7 +14,7 @@ from typing import Any, Sequence
 
 from .model import IndicatorCatalog, RequirementProfile, ServiceOffer, validate_offer, validate_profile
 from .selection import DecisionMatrix, build_decision_matrix
-from .service import ServiceConfig, SnapshotError, serve
+from .service import LOG_LEVELS, ServiceConfig, SnapshotError, serve
 from .sim import emit_report, generate_random_scenario, load_scenario, run, save_scenario, tabulate
 from .wire import RetryPolicy
 
@@ -22,9 +22,8 @@ from .wire import RetryPolicy
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    level_name = getattr(args, "log_level", None) or "info"
-    logging.basicConfig(level=getattr(logging, level_name.upper(), logging.INFO))
     try:
+        logging.basicConfig(level=_log_level(args.log_level or "info"))
         return args.func(args)
     except (SnapshotError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -84,6 +83,8 @@ def _resolve_serve_config(args: argparse.Namespace) -> ServiceConfig:
     file_config: dict[str, Any] = {}
     if args.config:
         file_config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        if not isinstance(file_config, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
     listen = (
         args.listen
         or os.environ.get("CTXBROKER_LISTEN")
@@ -92,11 +93,17 @@ def _resolve_serve_config(args: argparse.Namespace) -> ServiceConfig:
     )
     persist = args.persist or os.environ.get("CTXBROKER_PERSIST") or file_config.get("persist")
     log_level = args.log_level or file_config.get("log_level") or "info"
+    for name, value in (("listen", listen), ("persist", persist), ("log_level", log_level)):
+        if value is not None and not isinstance(value, str):
+            raise ValueError(f"{name} must be a string, got {value!r}")
+    _log_level(log_level)
     catalog_source = args.catalog or file_config.get("catalog")
     if catalog_source is None:
         raise ValueError("a catalog is required (--catalog or a config file with one)")
-    if not isinstance(catalog_source, dict):
+    if isinstance(catalog_source, str):
         catalog_source = json.loads(Path(catalog_source).read_text(encoding="utf-8"))
+    if not isinstance(catalog_source, dict):
+        raise ValueError("a catalog is a JSON object, or the path of a file holding one")
     try:
         catalog = IndicatorCatalog.from_dict(catalog_source)
         retry = RetryPolicy(**file_config.get("retry", {}))
@@ -109,6 +116,13 @@ def _resolve_serve_config(args: argparse.Namespace) -> ServiceConfig:
         retry=retry,
         log_level=log_level,
     )
+
+
+def _log_level(name: str) -> int:
+    """The ``logging`` level a level name stands for; ValueError for any other."""
+    if name not in LOG_LEVELS:
+        raise ValueError(f"log level must be one of {', '.join(LOG_LEVELS)}, got {name!r}")
+    return LOG_LEVELS[name]
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

@@ -20,13 +20,17 @@ import urllib.parse
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO, Callable
+from typing import Any, Callable
 
 from . import errors, wire
 from .broker import ContextBroker, Transport
 from .model import ContextSample, IndicatorCatalog, RequirementProfile, ServiceOffer
 
 log = logging.getLogger(__name__)
+
+
+LOG_LEVELS = {"debug": logging.DEBUG, "info": logging.INFO, "warning": logging.WARNING,
+              "error": logging.ERROR, "critical": logging.CRITICAL}
 
 
 class SnapshotError(RuntimeError):
@@ -39,7 +43,7 @@ class ServiceConfig:
     listen: str = "127.0.0.1:0"
     persist_path: str | Path | None = None
     retry: wire.RetryPolicy = field(default_factory=wire.RetryPolicy)
-    log_level: str = "info"
+    log_level: str = "info"  # a key of LOG_LEVELS
 
     def host_port(self) -> tuple[str, int]:
         host, _, port = self.listen.rpartition(":")
@@ -50,13 +54,13 @@ class ServiceConfig:
 
 @dataclass
 class Journal:
-    """The journal part of a persist file, as ``load_snapshot`` found it,
-    and the handle that appends to it."""
+    """The journal part of a persist file: the records ``load_snapshot``
+    found, and where the file ends as it found it and as every append
+    since left it. No handle to the file is held between appends."""
 
     records: list[dict[str, Any]] = field(default_factory=list)
     base_bytes: int = 0  # the base and its newline; 0 when there is no file
     end: int = 0  # the base and every whole record; a torn last line lies past it
-    file: BinaryIO | None = None
 
     @property
     def tail_bytes(self) -> int:
@@ -212,9 +216,6 @@ class BrokerService:
         journal = self._journal
         if journal is not None:
             with self.broker._lock:  # no append between the capture and the rename
-                if journal.file is not None:
-                    journal.file.close()
-                    journal.file = None
                 if journal.tail_bytes:
                     try:
                         self._compact()
@@ -229,47 +230,33 @@ class BrokerService:
 
     def _append(self, record: dict[str, Any]) -> None:
         """The broker's journal hook: runs under the broker lock before the
-        mutation is applied, and makes the record durable or raises."""
-        journal = self._journal
+        mutation is applied, and makes the record durable or raises. The
+        file is opened for this append only, after a torn last line is cut."""
+        journal, path = self._journal, self.config.persist_path
         line = json.dumps(record, separators=(",", ":")).encode() + b"\n"
-        if journal.file is None or journal.tail_bytes > journal.base_bytes:
-            self._open()
-        handle, journal.file = journal.file, None  # reopened by the next append if this fails
+        if not journal.base_bytes or journal.tail_bytes > journal.base_bytes:
+            self._compact()  # no base yet, or the journal outgrew it
         try:
-            if handle.write(line) != len(line):
-                raise OSError(errno.ENOSPC, "short write to the journal")
-            os.fsync(handle.fileno())
+            os.truncate(path, journal.end)
+            fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+            try:
+                if os.write(fd, line) != len(line):
+                    raise OSError(errno.ENOSPC, "short write to the journal")
+                os.fsync(fd)
+            finally:
+                os.close(fd)
         except OSError:
-            try:  # a refused record must not outlive a crash; if this fails, _open cuts it
-                os.ftruncate(handle.fileno(), journal.end)
+            try:  # a refused record must not outlive a crash; if this fails, the next append cuts it
+                os.truncate(path, journal.end)
             except OSError:
                 pass
-            handle.close()
             raise
-        journal.file = handle
         journal.end += len(line)
-
-    def _open(self) -> None:
-        """Open the append handle. A missing base, or a tail grown past the
-        base, is first rewritten into a new base; a torn last line is cut off."""
-        journal = self._journal
-        if journal.file is not None:
-            journal.file.close()
-            journal.file = None
-        if not journal.base_bytes or journal.tail_bytes > journal.base_bytes:
-            self._compact()
-        handle = open(self.config.persist_path, "ab", buffering=0)  # a failed write leaves no buffer
-        try:
-            handle.truncate(journal.end)
-        except OSError:
-            handle.close()
-            raise
-        journal.file = handle
 
     def _compact(self) -> None:
         """Rewrite the base from the live state, leaving an empty journal.
-        Runs under the broker lock."""
-        # Until the new base is in place, the next append rewrites it again.
+        Runs under the broker lock; until the new base is in place, the next
+        append rewrites it again."""
         self._journal.base_bytes = 0
         save_snapshot(self.config.persist_path, self.broker.snapshot_state())
         self._journal.base_bytes = self._journal.end = os.path.getsize(self.config.persist_path)
@@ -389,9 +376,7 @@ def serve(config: ServiceConfig, transport: Transport | None = None) -> ServiceH
     corrupt file, or one that does not fit the catalog, refuses startup
     with a SnapshotError naming it. A busy port raises OSError.
     """
-    logging.getLogger("ctxbroker").setLevel(
-        getattr(logging, config.log_level.upper(), logging.INFO)
-    )
+    logging.getLogger("ctxbroker").setLevel(LOG_LEVELS[config.log_level])
     host, port = config.host_port()
     service = BrokerService(config, transport=transport)
     try:

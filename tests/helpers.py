@@ -160,8 +160,6 @@ def random_sample(rng: random.Random):
 
 
 def crash(service) -> None:
-    """Stop a BrokerService as a crash would: no compaction, the journal
-    left as its last append wrote it (only the process's handles close)."""
+    """Stop a BrokerService as a crash would: no compaction, the persist
+    file left as its last append wrote it."""
     service.broker.close()
-    if service._journal is not None and service._journal.file is not None:
-        service._journal.file.close()

@@ -199,28 +199,66 @@ class TestServeConfigResolution:
         with pytest.raises(ValueError):
             self.resolve(tmp_path, ["--listen", "127.0.0.1:7002"], monkeypatch=monkeypatch)
 
+    def test_a_listen_address_that_is_not_a_string_is_an_error(self, tmp_path, monkeypatch):
+        config_path = tmp_path / "broker.json"
+        config_path.write_text(json.dumps({"catalog": CATALOG, "listen": 8750}), encoding="utf-8")
+        with pytest.raises(ValueError, match="listen"):
+            self.resolve(tmp_path, ["--config", str(config_path)], monkeypatch=monkeypatch)
+
+    def resolve_level(self, tmp_path, monkeypatch, source, level):
+        """Resolve a config whose log level comes from ``source``, the flag or the file."""
+        config_path = tmp_path / "broker.json"
+        document, argv = {"catalog": CATALOG}, ["--config", str(config_path)]
+        if source == "file":
+            document["log_level"] = level
+        else:
+            argv += ["--log-level", level]
+        config_path.write_text(json.dumps(document), encoding="utf-8")
+        return self.resolve(tmp_path, argv, monkeypatch=monkeypatch)
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("level", ["verbose", "basic_format", "INFO", "notset"])
+    def test_an_unknown_log_level_is_an_error(self, tmp_path, monkeypatch, source, level):
+        with pytest.raises(ValueError, match="log level"):
+            self.resolve_level(tmp_path, monkeypatch, source, level)
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize("level", ["debug", "info", "warning", "error", "critical"])
+    def test_the_five_log_levels_are_accepted(self, tmp_path, monkeypatch, source, level):
+        assert self.resolve_level(tmp_path, monkeypatch, source, level).log_level == level
+
 
 CATALOG = {"qoc_indicators": ["freshness"], "qos_indicators": ["availability"]}
 
 
-@pytest.mark.parametrize("flag, document", [
-    ("--catalog", {"qoc_indicators": ["freshness"]}),
-    ("--config", {"catalog": CATALOG, "retry": {"attempt": 3}}),
-    ("--config", {"catalog": CATALOG, "retry": {"attempts": 0}}),
-    ("--config", {"catalog": CATALOG, "retry": {"attempts": True}}),
-    ("--config", {"catalog": CATALOG, "retry": {"backoff_initial": -0.1}}),
-    ("--config", {"catalog": CATALOG, "retry": {"backoff_multiplier": -2.0}}),
-    ("--config", {"catalog": CATALOG, "retry": {"backoff_multiplier": 1e200}}),
-    ("--config", {"catalog": CATALOG, "retry": {"attempts": 13, "backoff_multiplier": 1.0}}),
+@pytest.mark.parametrize("flag, document, extra", [
+    ("--catalog", {"qoc_indicators": ["freshness"]}, ()),
+    ("--config", {"catalog": CATALOG, "retry": {"attempt": 3}}, ()),
+    ("--config", {"catalog": CATALOG, "retry": {"attempts": 0}}, ()),
+    ("--config", {"catalog": CATALOG, "retry": {"attempts": True}}, ()),
+    ("--config", {"catalog": CATALOG, "retry": {"backoff_initial": -0.1}}, ()),
+    ("--config", {"catalog": CATALOG, "retry": {"backoff_multiplier": -2.0}}, ()),
+    ("--config", {"catalog": CATALOG, "retry": {"backoff_multiplier": 1e200}}, ()),
+    ("--config", {"catalog": CATALOG, "retry": {"attempts": 13, "backoff_multiplier": 1.0}}, ()),
+    ("--config", [CATALOG], ()),
+    ("--config", {"catalog": 3}, ()),
+    ("--config", {"catalog": CATALOG, "persist": 5}, ()),
+    ("--config", {"catalog": CATALOG, "log_level": 10}, ()),
+    ("--config", {"catalog": CATALOG, "log_level": "verbose"}, ()),
+    ("--catalog", CATALOG, ("--log-level", "verbose")),
+    ("--catalog", CATALOG, ("--log-level", "basic_format")),
 ], ids=["catalog without qos_indicators", "unknown retry field", "no retry attempts",
         "boolean retry attempts", "negative backoff", "negative backoff multiplier",
-        "backoff that overflows", "retries past a minute per message"])
-def test_malformed_serve_config_is_an_error(tmp_path, capsys, monkeypatch, flag, document):
+        "backoff that overflows", "retries past a minute per message",
+        "config that is not an object", "catalog that is neither object nor path",
+        "persist that is not a string", "log level that is not a string",
+        "unknown log level in the file", "unknown log level flag", "log level flag naming a format"])
+def test_malformed_serve_config_is_an_error(tmp_path, capsys, monkeypatch, flag, document, extra):
     monkeypatch.delenv("CTXBROKER_LISTEN", raising=False)
     monkeypatch.delenv("CTXBROKER_PERSIST", raising=False)
     path = tmp_path / "input.json"
     path.write_text(json.dumps(document), encoding="utf-8")
-    assert main(["serve", flag, str(path), "--listen", "127.0.0.1:0"]) == 2
+    assert main(["serve", flag, str(path), "--listen", "127.0.0.1:0", *extra]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

@@ -1474,8 +1474,13 @@ class TestCrashRestartEquivalence:
         for consumer_id in ("app-1", "app-2"):
             assert subscribe(consumer_id)["kind"] == "ack"
         journal = service._journal
-        assert journal.file is not None and journal.tail_bytes <= journal.base_bytes
+        assert journal.tail_bytes <= journal.base_bytes
+        # A leaked os.open descriptor escapes the ResourceWarning pass; count them.
+        fds = "/proc/self/fd"
+        open_fds = len(os.listdir(fds)) if os.path.isdir(fds) else None
         yield service, subscribe, crash_restart_subscriptions
+        if open_fds is not None:
+            assert len(os.listdir(fds)) == open_fds
         service.close()
 
     def test_a_record_whose_fsync_failed_is_gone_after_a_crash(self, journaled, monkeypatch):
@@ -1492,43 +1497,50 @@ class TestCrashRestartEquivalence:
         assert crash_restart_subscriptions() == {
             "sub-1": "app-1", "sub-2": "app-2", "sub-3": "app-3"}
 
-    def test_a_full_disk_refuses_one_append_and_not_the_next(self, journaled):
+    def test_a_full_disk_refuses_one_append_and_not_the_next(self, journaled, monkeypatch):
         service, subscribe, crash_restart_subscriptions = journaled
         before = service.config.persist_path.read_bytes()
-        full = os.open("/dev/full", os.O_WRONLY)  # every write fails with ENOSPC
-        try:
-            os.dup2(full, service._journal.file.fileno())
-        finally:
-            os.close(full)
-        assert subscribe("refused")["body"]["code"] == "INTERNAL"
+        real_open = os.open
+
+        def open_on_full_disk(path, flags, *args):  # the append's open, once
+            monkeypatch.setattr(os, "open", real_open)
+            fd = real_open(path, flags, *args)
+            full = real_open("/dev/full", os.O_WRONLY)  # every write fails with ENOSPC
+            try:
+                os.dup2(full, fd)
+            finally:
+                os.close(full)
+            return fd
+
+        monkeypatch.setattr(os, "open", open_on_full_disk)
+        refused = subscribe("refused")["body"]
+        assert refused["code"] == "INTERNAL" and "[Errno 28]" in refused["message"]
         assert service.config.persist_path.read_bytes() == before
         assert subscribe("app-3")["body"] == {"subscription_id": "sub-3"}
         assert crash_restart_subscriptions() == {
             "sub-1": "app-1", "sub-2": "app-2", "sub-3": "app-3"}
 
-    def test_a_short_write_is_refused_and_cut_off(self, journaled):
+    def test_a_short_write_is_refused_and_cut_off(self, journaled, monkeypatch):
         service, subscribe, crash_restart_subscriptions = journaled
-
-        class ShortWrites:  # takes only part of a write, as a full disk can
-            def __init__(self, raw):
-                self.raw = raw
-
-            def write(self, data):
-                return self.raw.write(data[:10])
-
-            def fileno(self):
-                return self.raw.fileno()
-
-            def close(self):
-                self.raw.close()
-
+        real_write = os.write
         before = service.config.persist_path.read_bytes()
-        service._journal.file = ShortWrites(service._journal.file)
+        # takes only part of a write, as a full disk can
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:10]))
         assert subscribe("refused")["body"]["code"] == "INTERNAL"
+        monkeypatch.undo()
         assert service.config.persist_path.read_bytes() == before
         assert subscribe("app-3")["body"] == {"subscription_id": "sub-3"}
         assert crash_restart_subscriptions() == {
             "sub-1": "app-1", "sub-2": "app-2", "sub-3": "app-3"}
+
+    def test_a_removed_persist_file_refuses_every_mutation(self, journaled):
+        service, subscribe, _ = journaled
+        service.config.persist_path.unlink()
+        for consumer_id in ("refused-1", "refused-2"):
+            assert subscribe(consumer_id)["body"]["code"] == "INTERNAL"
+        assert not service.config.persist_path.exists()
+        assert [s["subscription_id"] for s in service.broker.snapshot_state()["subscriptions"]] == [
+            "sub-1", "sub-2"]
 
     def test_interleavings_smoke(self, tmp_path):
         rng = random.Random(99)
